@@ -9,6 +9,7 @@ Submodules:
     nn          - reverse-mode autodiff, layers, Adam/AdamW/EMA, checkpoints
     gan         - conditional WGAN-GP with projection critic
     diffusion   - conditional DDPM with FiLM U-Net and guided DDIM sampling
+    training    - the training loop both models share: batching, best/early stop, logs
     metrics     - signal-level, distributional and specificity evaluation suite
     config, cli - strict YAML run configuration and command-line entry points
 """

@@ -165,16 +165,12 @@ def cmd_train(args) -> int:
     data, labels, _ = load_window_set(manifest, base, split="train")
     out_dir = Path(args.out or cfg.output_dir) / args.model
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.model == "gan":
-        result = train_wgan(data, labels, len(manifest.class_map), cfg.gan, out_dir)
-        last = result.history[-1]
-        print(f"gan: {len(result.history)} steps, best step {result.best_step}, "
-              f"final d_loss {last['d_loss']:.4g} g_loss {last['g_loss']:.4g}")
-    else:
-        result = train_ddpm(data, labels, len(manifest.class_map), cfg.ddpm, out_dir)
-        last = result.history[-1]
-        print(f"ddpm: {len(result.history)} steps, best step {result.best_step}, "
-              f"final loss {last['loss']:.4g}")
+    train, model_cfg = (train_wgan, cfg.gan) if args.model == "gan" else (train_ddpm, cfg.ddpm)
+    result = train(data, labels, len(manifest.class_map), model_cfg, out_dir)
+    final = " ".join(f"{k} {v:.4g}" for row in result.history[-1:] for k, v in row.items()
+                     if k != "step")
+    print(f"{args.model}: {len(result.history)} steps, best step {result.best_step}, "
+          f"final {final or 'none'}")
     _write_run_record(out_dir, f"train:{args.model}", cfg.hash(), seed, started)
     print(f"checkpoints and loss log -> {out_dir}")
     return 0

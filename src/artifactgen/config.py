@@ -33,7 +33,6 @@ class DataConfig:
     overlap: float = 0.5
     window_seconds: float = 1.0
     normalization: str = MINMAX_WINDOW
-    filtering: str = "raw"
 
     def __post_init__(self):
         self.channels = tuple(self.channels)
@@ -41,8 +40,6 @@ class DataConfig:
             raise ConfigError(
                 f"data.normalization must be '{MINMAX_WINDOW}' or '{ZSCORE_RECORDING}', "
                 f"got '{self.normalization}'")
-        if self.filtering != "raw":
-            raise ConfigError("only filtering: raw is supported (models operate on raw signals)")
         if not 0.0 <= self.overlap < 1.0:
             raise ConfigError("data.overlap must be in [0, 1)")
 
@@ -84,8 +81,8 @@ def _require_mapping(node, path: str) -> dict:
     return node
 
 
-def _build(cls, node: dict, path: str, drop: tuple[str, ...] = ()):
-    fields = {f.name for f in dataclasses.fields(cls)} - set(drop)
+def _build(cls, node: dict, path: str):
+    fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(node) - fields
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}' "

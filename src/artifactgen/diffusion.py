@@ -11,7 +11,6 @@ conditioning token is class index K (one past the real classes).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -31,11 +30,10 @@ from .nn import (
     concat,
     film,
     no_grad,
-    save_checkpoint,
     silu,
 )
-from .gan import TrainingDiverged
 from .nn.checkpoint import load_checkpoint
+from .training import fit
 
 __all__ = [
     "BetaSchedule",
@@ -83,11 +81,8 @@ class BetaSchedule:
 class SamplerConfig:
     num_steps: int = 80
     guidance_scale: float = 1.5
-    deterministic: bool = True
 
     def __post_init__(self):
-        if not self.deterministic:
-            raise ValueError("only the deterministic (eta=0) sampler is implemented")
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
 
@@ -354,70 +349,32 @@ def train_ddpm(
     ema = EmaShadow(params, cfg.ema_decay)
 
     result = DiffusionTrainResult(net=net, ema=ema)
-    losses: list[float] = []
-    best = np.inf
-    epochs_since_best = 0
-    step = 0
-    bsz = min(cfg.batch_size, n)
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        improved_this_epoch = False
-        for i in range(0, n - bsz + 1, bsz):
-            idx = perm[i: i + bsz]
-            opt.zero_grad()
-            loss = denoise_loss(net, data[idx], labels[idx], sched,
-                                cfg.label_dropout_prob, rng)
-            val = loss.item()
-            if not np.isfinite(val):
-                raise TrainingDiverged({"step": step + 1, "lr": cfg.lr, "loss": val,
-                                        "grad_norms": opt.grad_norms()})
-            backward(loss)
-            opt.step()
-            ema.update(params)
-            step += 1
-            losses.append(val)
-            result.history.append({"step": step, "loss": val})
+    def step(batches: list[np.ndarray]) -> dict[str, float]:
+        (idx,) = batches
+        opt.zero_grad()
+        loss = denoise_loss(net, data[idx], labels[idx], sched,
+                            cfg.label_dropout_prob, rng)
+        backward(loss)
+        opt.step()
+        ema.update(params)
+        return {"loss": loss.item()}
 
-            smoothed = float(np.mean(losses[-cfg.smooth_window:]))
-            if smoothed < best:
-                best = smoothed
-                result.best_step = step
-                result.best_state = net.get_state()
-                result.best_ema_state = ema.state()
-                improved_this_epoch = True
+    def keep() -> None:
+        result.best_state = net.get_state()
+        result.best_ema_state = ema.state()
 
-        if improved_this_epoch:
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if cfg.early_stop_patience is not None and epochs_since_best >= cfg.early_stop_patience:
-                result.stopped_early = True
-                break
+    def checkpoint(last: bool) -> dict:
+        if last:
+            return {"params": net.get_state(), "optimizer": opt.state_dict(), "ema": ema.state()}
+        return {"params": result.best_state or net.get_state(),
+                "ema": result.best_ema_state or ema.state()}
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "ddpm_losses.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "loss"])
-            for row in result.history:
-                w.writerow([row["step"], repr(row["loss"])])
-        meta = _ddpm_meta(net, cfg, length, n_classes)
-        save_checkpoint(out_dir / "ddpm_last.ckpt", params=net.get_state(), step=step,
-                        optimizer=opt.state_dict(), ema=ema.state(), meta=meta)
-        save_checkpoint(out_dir / "ddpm_best.ckpt",
-                        params=result.best_state or net.get_state(),
-                        step=result.best_step,
-                        ema=result.best_ema_state or ema.state(), meta=meta)
+    meta = {"model": "ddpm", "n_channels": n_ch, "length": length, "n_classes": n_classes,
+            "config": asdict(cfg)}
+    fit("ddpm", result, n, cfg, rng, step, columns=("loss",), monitor="loss",
+        optimizers={"net": opt}, keep=keep, checkpoint=checkpoint, meta=meta, out_dir=out_dir)
     return result
-
-
-def _ddpm_meta(net: UNet1D, cfg: DiffusionTrainConfig, length: int, n_classes: int) -> dict:
-    meta = {"model": "ddpm", "n_channels": net.n_channels, "length": length,
-            "n_classes": n_classes, "config": asdict(cfg)}
-    meta["config"]["widths"] = list(cfg.widths)
-    return meta
 
 
 def load_unet(path: str | Path, use_ema: bool = True) -> tuple[UNet1D, BetaSchedule, dict]:

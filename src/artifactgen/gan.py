@@ -16,7 +16,6 @@ formula (L_in - 1) * stride + kernel - 2 * pad lands on integers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -37,36 +36,26 @@ from .nn import (
     leaky_relu,
     matmul,
     no_grad,
-    save_checkpoint,
     unfold1d,
 )
 from .nn.checkpoint import load_checkpoint
+from .training import fit
 
 __all__ = [
     "GanTrainConfig",
     "GeneratorNet",
     "ProjectionCritic",
-    "generate",
     "critic_score",
     "gradient_penalty",
     "spectral_l1",
     "train_wgan",
     "GanTrainResult",
-    "TrainingDiverged",
     "load_generator",
 ]
 
 # activations whose a.e. second derivative is defined everywhere we evaluate it;
 # anything else in the critic would break the double-backprop of the penalty
 CRITIC_ACTIVATIONS = ("leaky_relu", "tanh", "silu")
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a training loss goes non-finite; carries a diagnostic snapshot."""
-
-    def __init__(self, snapshot: dict):
-        super().__init__(f"non-finite loss at step {snapshot.get('step')}: {snapshot}")
-        self.snapshot = snapshot
 
 
 @dataclass
@@ -176,11 +165,6 @@ class ProjectionCritic(Module):
         return base + proj
 
 
-def generate(gen: GeneratorNet, z: np.ndarray, y: np.ndarray) -> Tensor:
-    """Deterministic forward pass of the generator for a latent batch."""
-    return gen(z, y)
-
-
 def critic_score(critic: ProjectionCritic, x, y) -> Tensor:
     """Projection score D(x, y); accepts a single (C, L) window or a batch."""
     arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
@@ -253,11 +237,6 @@ class GanTrainResult:
     stopped_early: bool = False
 
 
-def _smoothed(values: list[float], window: int) -> float:
-    tail = values[-window:]
-    return float(np.mean(np.abs(tail)))
-
-
 def train_wgan(
     data: np.ndarray,
     labels: np.ndarray,
@@ -285,100 +264,66 @@ def train_wgan(
     opt_d = Adam(critic.named_parameters(), cfg.lr, cfg.beta1, cfg.beta2)
 
     result = GanTrainResult(generator=gen, critic=critic)
-    g_losses: list[float] = []
-    best = np.inf
-    epochs_since_best = 0
-    step = 0
     bsz = cfg.batch_size
-
     if n // bsz < cfg.n_critic:
         raise ValueError(f"{n} windows give {n // bsz} batches of {bsz}; "
                          f"need at least n_critic={cfg.n_critic} per generator step")
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        batches = [perm[i: i + bsz] for i in range(0, n - bsz + 1, bsz)]
-        improved_this_epoch = False
-        cursor = 0
-        while cursor + cfg.n_critic <= len(batches):
-            d_losses, gps = [], []
-            for _ in range(cfg.n_critic):
-                idx = batches[cursor]
-                cursor += 1
-                x_real, y = data[idx], labels[idx]
-                z = rng.standard_normal((len(idx), cfg.latent_dim))
-                with no_grad():
-                    x_fake = gen(z, y).data
-                opt_d.zero_grad()
-                d_loss = critic(Tensor(x_fake), y).mean() - critic(Tensor(x_real), y).mean()
-                if cfg.lambda_gp > 0:
-                    gp = gradient_penalty(critic, x_real, x_fake, y, cfg.lambda_gp, rng)
-                    d_total = d_loss + gp
-                    gps.append(gp.item())
-                else:
-                    d_total = d_loss
-                    gps.append(0.0)
-                backward(d_total)
-                opt_d.step()
-                d_losses.append(d_total.item())
-
-            # generator update on a fresh latent batch; reuse last real batch
-            # for labels and the optional spectral reference
+    def step(batches: list[np.ndarray]) -> dict[str, float]:
+        d_losses, gps = [], []
+        for idx in batches:
+            x_real, y = data[idx], labels[idx]
             z = rng.standard_normal((len(idx), cfg.latent_dim))
-            opt_g.zero_grad()
-            x_fake_t = gen(z, y)
-            g_loss = -critic(x_fake_t, y).mean()
-            spec_val = 0.0
-            if cfg.spectral_loss_weight > 0:
-                spec = spectral_l1(Tensor(x_real), x_fake_t,
-                                   cfg.spectral_nfft, cfg.spectral_hop)
-                g_loss = g_loss + cfg.spectral_loss_weight * spec
-                spec_val = spec.item()
-            backward(g_loss)
-            opt_g.step()
+            with no_grad():
+                x_fake = gen(z, y).data
+            opt_d.zero_grad()
+            d_loss = critic(Tensor(x_fake), y).mean() - critic(Tensor(x_real), y).mean()
+            if cfg.lambda_gp > 0:
+                gp = gradient_penalty(critic, x_real, x_fake, y, cfg.lambda_gp, rng)
+                d_total = d_loss + gp
+                gps.append(gp.item())
+            else:
+                d_total = d_loss
+                gps.append(0.0)
+            backward(d_total)
+            opt_d.step()
+            d_losses.append(d_total.item())
 
-            step += 1
-            d_mean = float(np.mean(d_losses))
-            g_val = g_loss.item()
-            if not (np.isfinite(d_mean) and np.isfinite(g_val)):
-                raise TrainingDiverged({
-                    "step": step, "lr": cfg.lr, "d_loss": d_mean, "g_loss": g_val,
-                    "grad_norms": {"generator": opt_g.grad_norms(),
-                                   "critic": opt_d.grad_norms()},
-                })
-            g_losses.append(g_val)
-            result.history.append({"step": step, "d_loss": d_mean, "g_loss": g_val,
-                                   "gp": float(np.mean(gps)), "spectral": spec_val})
+        # generator update on a fresh latent batch; reuse last real batch
+        # for labels and the optional spectral reference
+        z = rng.standard_normal((len(idx), cfg.latent_dim))
+        opt_g.zero_grad()
+        x_fake_t = gen(z, y)
+        g_loss = -critic(x_fake_t, y).mean()
+        spec_val = 0.0
+        if cfg.spectral_loss_weight > 0:
+            spec = spectral_l1(Tensor(x_real), x_fake_t,
+                               cfg.spectral_nfft, cfg.spectral_hop)
+            g_loss = g_loss + cfg.spectral_loss_weight * spec
+            spec_val = spec.item()
+        backward(g_loss)
+        opt_g.step()
+        return {"d_loss": float(np.mean(d_losses)), "g_loss": g_loss.item(),
+                "gp": float(np.mean(gps)), "spectral": spec_val}
 
-            smoothed = _smoothed(g_losses, cfg.smooth_window)
-            if smoothed < best:
-                best = smoothed
-                result.best_step = step
-                result.best_generator_state = gen.get_state()
-                improved_this_epoch = True
+    def keep() -> None:
+        result.best_generator_state = gen.get_state()
 
-        if improved_this_epoch:
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if cfg.early_stop_patience is not None and epochs_since_best >= cfg.early_stop_patience:
-                result.stopped_early = True
-                break
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_history(out_dir / "gan_losses.csv", result.history)
-        meta = _gan_meta(gen, cfg, n_classes)
-        save_checkpoint(out_dir / "gan_last.ckpt",
-                        params=_namespaced(gen, critic), step=step,
-                        optimizer=opt_g.state_dict(), meta=meta)
-        best_params = dict(_namespaced(gen, critic))
+    def checkpoint(last: bool) -> dict:
+        """Both hold the last critic; the best one pairs it with the best generator."""
+        params = _namespaced(gen, critic)
+        if last:
+            return {"params": params, "optimizer": opt_g.state_dict()}
         if result.best_generator_state is not None:
-            best_params.update({f"generator/{k}": v
-                                for k, v in result.best_generator_state.items()})
-        save_checkpoint(out_dir / "gan_best.ckpt", params=best_params,
-                        step=result.best_step, meta=meta)
+            params.update({f"generator/{k}": v
+                           for k, v in result.best_generator_state.items()})
+        return {"params": params}
+
+    meta = {"model": "wgan", "n_channels": n_ch, "length": length, "n_classes": n_classes,
+            "config": asdict(cfg)}
+    fit("gan", result, n, cfg, rng, step, columns=("d_loss", "g_loss", "gp", "spectral"),
+        monitor="g_loss", optimizers={"generator": opt_g, "critic": opt_d}, keep=keep,
+        checkpoint=checkpoint, meta=meta, out_dir=out_dir, batches_per_step=cfg.n_critic)
     return result
 
 
@@ -386,22 +331,6 @@ def _namespaced(gen: GeneratorNet, critic: ProjectionCritic) -> dict[str, np.nda
     out = {f"generator/{k}": v for k, v in gen.get_state().items()}
     out.update({f"critic/{k}": v for k, v in critic.get_state().items()})
     return out
-
-
-def _gan_meta(gen: GeneratorNet, cfg: GanTrainConfig, n_classes: int) -> dict:
-    meta = {"model": "wgan", "n_channels": gen.n_channels, "length": gen.length,
-            "n_classes": n_classes, "config": asdict(cfg)}
-    meta["config"]["channels"] = list(cfg.channels)
-    return meta
-
-
-def _write_history(path: Path, history: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "d_loss", "g_loss", "gp", "spectral"])
-        for row in history:
-            w.writerow([row["step"], repr(row["d_loss"]), repr(row["g_loss"]),
-                        repr(row["gp"]), repr(row["spectral"])])
 
 
 def load_generator(path: str | Path) -> tuple[GeneratorNet, dict]:

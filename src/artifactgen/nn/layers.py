@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, fold1d, gather_rows, matmul, silu, unfold1d
+from .tensor import Tensor, fold1d, gather_rows, matmul, unfold1d
 
 __all__ = [
     "Module",
@@ -193,7 +193,3 @@ def film(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def global_avg_pool1d(x: Tensor) -> Tensor:
     """(B, C, L) -> (B, C), mean over time."""
     return x.mean(axis=2)
-
-
-# re-export the functional pieces layers naturally pair with
-__all__ += ["concat", "silu"]

@@ -203,7 +203,7 @@ class Tensor:
             if not keepdims and axis is not None:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 shape = list(g.data.shape)
-                for ax in sorted(a_mod(ax, a.data.ndim) for ax in axes):
+                for ax in sorted(ax % a.data.ndim for ax in axes):
                     shape.insert(ax, 1)
                 gd = gd.reshape(tuple(shape))
             elif not keepdims and axis is None:
@@ -214,7 +214,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a_mod(ax, self.data.ndim)]
+            [self.data.shape[ax % self.data.ndim]
              for ax in (axis if isinstance(axis, tuple) else (axis,))])
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
@@ -239,7 +239,7 @@ class Tensor:
     def narrow(self, axis: int, start: int, length: int):
         """Contiguous slice [start, start+length) along one axis."""
         a = self
-        axis = a_mod(axis, a.data.ndim)
+        axis = axis % a.data.ndim
         total = a.data.shape[axis]
         if not (0 <= start and start + length <= total):
             raise ValueError(f"narrow [{start}, {start + length}) outside axis of size {total}")
@@ -253,17 +253,13 @@ class Tensor:
     def pad_axis(self, axis: int, before: int, after: int):
         """Zero-pad along one axis."""
         a = self
-        axis = a_mod(axis, a.data.ndim)
+        axis = axis % a.data.ndim
         width = [(0, 0)] * a.data.ndim
         width[axis] = (before, after)
         data = np.pad(a.data, width)
         length = a.data.shape[axis]
         return Tensor._result(
             data, (a,), lambda g: (g.narrow(axis, before, length),), "pad")
-
-
-def a_mod(axis: int, ndim: int) -> int:
-    return axis % ndim
 
 
 def _as_tensor(x) -> Tensor:
@@ -303,7 +299,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    ax = a_mod(axis, tensors[0].data.ndim)
+    ax = axis % tensors[0].data.ndim
     sizes = [t.data.shape[ax] for t in tensors]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 

@@ -23,9 +23,8 @@ EPS = 1e-8
 
 MINMAX_WINDOW = "minmax_window"
 ZSCORE_RECORDING = "zscore_recording"
-NONE = "none"
 
-_SCHEMES = (MINMAX_WINDOW, ZSCORE_RECORDING, NONE)
+_SCHEMES = (MINMAX_WINDOW, ZSCORE_RECORDING)
 
 
 @dataclass

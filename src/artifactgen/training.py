@@ -1,0 +1,88 @@
+"""The training loop both models share: a seeded permutation per epoch, the
+divergence check, best tracking on the smoothed monitored loss, early
+stopping, and the loss CSV with the last and best checkpoints."""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from .nn import Adam, save_checkpoint
+
+__all__ = ["TrainingDiverged", "fit"]
+
+
+class TrainingDiverged(RuntimeError):
+    """Raised when a training loss goes non-finite; carries a diagnostic snapshot."""
+
+    def __init__(self, snapshot: dict):
+        super().__init__(f"non-finite loss at step {snapshot.get('step')}: {snapshot}")
+        self.snapshot = snapshot
+
+
+def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
+        step: Callable[[list[np.ndarray]], dict[str, float]], *, columns: tuple[str, ...],
+        monitor: str, optimizers: dict[str, Adam], keep: Callable[[], None],
+        checkpoint: Callable[[bool], dict], meta: dict, out_dir: str | Path | None,
+        batches_per_step: int = 1) -> None:
+    """Train for ``cfg.epochs`` epochs, filling ``result.history``,
+    ``result.best_step`` and ``result.stopped_early``.
+
+    Each epoch cuts a permutation of ``n`` from ``rng`` into batches of
+    ``min(cfg.batch_size, n)`` and hands ``step`` ``batches_per_step`` of them at a
+    time; short tails are dropped. ``step`` returns the loss terms named in
+    ``columns``. ``keep()`` stores the model's state whenever the mean absolute
+    ``monitor`` over the last ``cfg.smooth_window`` steps reaches a new low. With
+    ``out_dir`` the run writes ``<model>_losses.csv``, ``<model>_last.ckpt``
+    holding ``checkpoint(True)`` and ``<model>_best.ckpt`` holding ``checkpoint(False)``.
+    """
+    best = np.inf
+    epochs_since_best = 0
+    bsz = min(cfg.batch_size, n)
+
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        batches = [perm[i: i + bsz] for i in range(0, n - bsz + 1, bsz)]
+        improved_this_epoch = False
+        for first in range(0, len(batches) - batches_per_step + 1, batches_per_step):
+            terms = step(batches[first: first + batches_per_step])
+            row = {"step": len(result.history) + 1, **terms}
+            if not all(np.isfinite(v) for v in terms.values()):
+                raise TrainingDiverged({
+                    **row, "lr": cfg.lr,
+                    "grad_norms": {k: opt.grad_norms() for k, opt in optimizers.items()},
+                    "history": result.history[-cfg.smooth_window:],
+                })
+            result.history.append(row)
+
+            tail = [r[monitor] for r in result.history[-cfg.smooth_window:]]
+            smoothed = float(np.mean(np.abs(tail)))
+            if smoothed < best:
+                best = smoothed
+                result.best_step = row["step"]
+                keep()
+                improved_this_epoch = True
+
+        if improved_this_epoch:
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if cfg.early_stop_patience is not None and epochs_since_best >= cfg.early_stop_patience:
+                result.stopped_early = True
+                break
+
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / f"{model}_losses.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["step", *columns])
+            for row in result.history:
+                w.writerow([row["step"], *(repr(row[c]) for c in columns)])
+        save_checkpoint(out_dir / f"{model}_last.ckpt", step=len(result.history), meta=meta,
+                        **checkpoint(True))
+        save_checkpoint(out_dir / f"{model}_best.ckpt", step=result.best_step, meta=meta,
+                        **checkpoint(False))

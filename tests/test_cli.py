@@ -1,0 +1,99 @@
+"""Command line and strict config: a tiny curate -> train -> sample -> evaluate
+run, same-seed reproducibility of the training outputs, and the config
+rejections that must exit with code 2."""
+
+import warnings
+
+import pytest
+import yaml
+
+from artifactgen.cli import main
+
+GAN = {"channels": [8, 8, 8, 8], "latent_dim": 8, "batch_size": 4, "n_critic": 2, "epochs": 1}
+DDPM = {"widths": [8, 8, 8], "cond_dim": 8, "time_dim": 8, "batch_size": 4, "epochs": 1}
+# each model trains on the normalization its `train` command requires
+NORMALIZATION = {"gan": "minmax_window", "ddpm": "zscore_recording"}
+
+
+def write_config(path, output_dir, normalization, gan=None, ddpm=None):
+    doc = {"seed": 3, "output_dir": str(output_dir),
+           "data": {"normalization": normalization},
+           "model": {"gan": dict(GAN, **(gan or {})), "ddpm": dict(DDPM, **(ddpm or {}))}}
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def run(*argv) -> int:
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def curated(tmp_path_factory):
+    """One curated synthetic dataset per model: {model: (config, manifest)}."""
+    root = tmp_path_factory.mktemp("curated")
+    out = {}
+    for model, norm in NORMALIZATION.items():
+        config = write_config(root / f"{model}.yaml", root / model, norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # two subjects leave val and test empty
+            assert run("curate", "--config", config, "--synthetic", "--n-per-class", 2) == 0
+        out[model] = (config, root / model / "dataset" / "manifest.json")
+    return out
+
+
+def train(curated, model, out_dir) -> int:
+    config, manifest = curated[model]
+    return run("train", "--config", config, "--model", model, "--manifest", manifest,
+               "--out", out_dir)
+
+
+def test_end_to_end(curated, tmp_path):
+    fakes = {"gan": ("wgan", ()), "ddpm": ("ddpm", ("--steps", 2))}
+    for model, (name, sampler_args) in fakes.items():
+        assert train(curated, model, tmp_path) == 0
+        ckpt = tmp_path / model / f"{model}_best.ckpt"
+        assert run("sample", "--checkpoint", ckpt, "--class", 0, "--num", 4,
+                   "--out", tmp_path / name, *sampler_args) == 0
+        # each fake set against the real windows on its own scale
+        config, manifest = curated[model]
+        assert run("evaluate", "--config", config, "--real", manifest,
+                   "--fake", f"{name}={tmp_path / name}",
+                   "--out", tmp_path / f"report_{name}.json") == 0
+        assert (tmp_path / f"report_{name}.json").is_file()
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_same_seed_training_is_byte_identical(curated, tmp_path, model):
+    assert train(curated, model, tmp_path / "a") == 0
+    assert train(curated, model, tmp_path / "b") == 0
+    names = [f"{model}_losses.csv", f"{model}_last.ckpt", f"{model}_best.ckpt"]
+    for name in names:
+        first = (tmp_path / "a" / model / name).read_bytes()
+        assert first == (tmp_path / "b" / model / name).read_bytes(), name
+    assert len((tmp_path / "a" / model / names[0]).read_text().splitlines()) > 1
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_zero_epochs_reports_zero_steps(curated, tmp_path, capsys, model):
+    _, manifest = curated[model]
+    config = write_config(tmp_path / "zero.yaml", tmp_path, NORMALIZATION[model],
+                          gan={"epochs": 0}, ddpm={"epochs": 0})
+    assert run("train", "--config", config, "--model", model, "--manifest", manifest) == 0
+    assert f"{model}: 0 steps" in capsys.readouterr().out
+    lines = (tmp_path / model / f"{model}_losses.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("step,")
+    assert (tmp_path / model / f"{model}_best.ckpt").is_file()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"sed": 1}, "unknown top-level key"),
+    ({"data": {"window_secs": 1.0}}, "unknown key"),
+    ({"model": {"gan": {"seed": 1}}}, "model.gan.seed"),
+    ({"data": {"filtering": "raw"}}, "filtering"),
+])
+def test_config_rejected_with_exit_code_2(tmp_path, capsys, doc, message):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert run("curate", "--config", config, "--synthetic", "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "dataset").exists()

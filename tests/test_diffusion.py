@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import artifactgen.diffusion as diffusion_mod
 from artifactgen.diffusion import (
     BetaSchedule,
     DiffusionTrainConfig,
@@ -19,6 +20,7 @@ from artifactgen.diffusion import (
     train_ddpm,
 )
 from artifactgen.nn import AdamW, EmaShadow, Tensor, backward, grad, no_grad
+from artifactgen.training import TrainingDiverged
 from test_tensor import numeric_grad
 
 SCHED = BetaSchedule.linear(100)
@@ -198,10 +200,6 @@ class TestSampler:
         c = sample(net, np.array([0, 1]), SCHED, cfg, np.random.default_rng(12))
         assert np.array_equal(a, b)
         assert np.linalg.norm(a - c) > 0
-
-    def test_stochastic_sampler_rejected(self):
-        with pytest.raises(ValueError, match="deterministic"):
-            SamplerConfig(deterministic=False)
 
     def test_class_range_validated(self):
         net = tiny_unet()
@@ -384,6 +382,27 @@ class TestTrainDdpm:
         assert sched.num_steps == cfg.schedule_steps
         for k, v in net.get_state().items():
             assert np.array_equal(v, result.best_ema_state[k])
+
+    def test_nan_aborts_with_snapshot(self, monkeypatch):
+        # the third loss goes NaN in value only, so its gradients stay finite
+        data, labels = self.toy_data()
+        real_loss = diffusion_mod.denoise_loss
+        calls = []
+
+        def nan_third_loss(*args, **kwargs):
+            calls.append(None)
+            loss = real_loss(*args, **kwargs)
+            return loss + Tensor(np.nan) if len(calls) == 3 else loss
+
+        monkeypatch.setattr(diffusion_mod, "denoise_loss", nan_third_loss)
+        with pytest.raises(TrainingDiverged) as err:
+            train_ddpm(data, labels, 2, self.small_cfg())
+        snap = err.value.snapshot
+        assert snap["step"] == 3 and np.isnan(snap["loss"])
+        assert snap["lr"] == self.small_cfg().lr
+        assert [row["step"] for row in snap["history"]] == [1, 2]
+        norms = list(snap["grad_norms"]["net"].values())
+        assert all(np.isfinite(norms)) and any(v != 0.0 for v in norms)
 
     def test_ema_evaluated_loss_is_smoother(self):
         # fixed validation draw, noisy-plateau regime (high lr, small batch):

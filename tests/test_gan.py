@@ -10,7 +10,6 @@ from artifactgen.gan import (
     GanTrainConfig,
     GeneratorNet,
     ProjectionCritic,
-    TrainingDiverged,
     _stft_mag,
     critic_score,
     gradient_penalty,
@@ -18,6 +17,7 @@ from artifactgen.gan import (
     train_wgan,
 )
 from artifactgen.nn import Tensor, no_grad
+from artifactgen.training import TrainingDiverged
 
 C, L, K = 3, 50, 2
 
@@ -305,7 +305,7 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged) as err:
             train_wgan(data, labels, K, small_cfg())
         snap = err.value.snapshot
-        assert {"step", "lr", "grad_norms"} <= set(snap)
+        assert {"step", "lr", "grad_norms", "history"} <= set(snap)
 
     def test_too_few_windows_for_critic_round(self):
         data, labels = toy_windows(8)
