@@ -37,7 +37,7 @@ from .manifest import (
     write_windows,
 )
 from .metrics import WelchSettings, WindowSet, compute_report, render_table
-from .nn import no_grad
+from .nn import load_checkpoint, no_grad
 from .normalize import MINMAX_WINDOW, ZSCORE_RECORDING, minmax_normalize, zscore_normalize
 from .synthetic import generate_corpus, recording_from_npz
 from .windowing import ClassMap, extract_windows
@@ -180,17 +180,17 @@ def cmd_sample(args) -> int:
     started = _utcnow()
     seed = _effective_seed(0, args.seed)
     ck_path = Path(args.checkpoint)
-    model_hash = hashlib.sha256(ck_path.read_bytes()).hexdigest()
+    raw = ck_path.read_bytes()          # read once: hashed, then parsed
+    model_hash = hashlib.sha256(raw).hexdigest()
+    ck = load_checkpoint(raw)
+    del raw
     rng = np.random.default_rng(seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # peek at the checkpoint type via the cheap loaders
-    from .nn.checkpoint import load_checkpoint
-    meta = load_checkpoint(ck_path).meta
-    model = meta.get("model")
+    model = ck.meta.get("model")
     if model == "wgan":
-        gen, _ = load_generator(ck_path)
+        gen, _ = load_generator(ck)
         if not 0 <= args.class_index < gen.n_classes:
             raise ConfigError(f"class index {args.class_index} out of range "
                               f"[0, {gen.n_classes})")
@@ -200,7 +200,7 @@ def cmd_sample(args) -> int:
             windows = gen(z, y).data
         sampler_info = {"latent_dim": gen.latent_dim}
     elif model == "ddpm":
-        net, sched, _ = load_unet(ck_path, use_ema=True)
+        net, sched, _ = load_unet(ck, use_ema=True)
         if not 0 <= args.class_index < net.n_classes:
             raise ConfigError(f"class index {args.class_index} out of range "
                               f"[0, {net.n_classes})")

@@ -32,7 +32,7 @@ from .nn import (
     no_grad,
     silu,
 )
-from .nn.checkpoint import load_checkpoint
+from .nn.checkpoint import Checkpoint, load_checkpoint
 from .training import fit
 
 __all__ = [
@@ -377,12 +377,14 @@ def train_ddpm(
     return result
 
 
-def load_unet(path: str | Path, use_ema: bool = True) -> tuple[UNet1D, BetaSchedule, dict]:
-    """Rebuild the U-Net (EMA weights by default) and its schedule from a checkpoint."""
-    ck = load_checkpoint(path)
+def load_unet(path: str | Path | Checkpoint,
+              use_ema: bool = True) -> tuple[UNet1D, BetaSchedule, dict]:
+    """Rebuild the U-Net (EMA weights by default) and its schedule from a
+    checkpoint, given its path or its loaded contents."""
+    ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
     meta = ck.meta
     if meta.get("model") != "ddpm":
-        raise ValueError(f"{path}: not a DDPM checkpoint")
+        raise ValueError(f"{'checkpoint' if ck is path else path}: not a DDPM checkpoint")
     cfg_d = dict(meta["config"])
     cfg_d["widths"] = tuple(cfg_d["widths"])
     cfg = DiffusionTrainConfig(**cfg_d)

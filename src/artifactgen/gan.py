@@ -38,7 +38,7 @@ from .nn import (
     no_grad,
     unfold1d,
 )
-from .nn.checkpoint import load_checkpoint
+from .nn.checkpoint import Checkpoint, load_checkpoint
 from .training import fit
 
 __all__ = [
@@ -333,12 +333,13 @@ def _namespaced(gen: GeneratorNet, critic: ProjectionCritic) -> dict[str, np.nda
     return out
 
 
-def load_generator(path: str | Path) -> tuple[GeneratorNet, dict]:
-    """Rebuild the generator (best weights) from a checkpoint written by train_wgan."""
-    ck = load_checkpoint(path)
+def load_generator(path: str | Path | Checkpoint) -> tuple[GeneratorNet, dict]:
+    """Rebuild the generator (best weights) from a checkpoint written by
+    train_wgan, given its path or its loaded contents."""
+    ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
     meta = ck.meta
     if meta.get("model") != "wgan":
-        raise ValueError(f"{path}: not a WGAN checkpoint")
+        raise ValueError(f"{'checkpoint' if ck is path else path}: not a WGAN checkpoint")
     cfg_d = dict(meta["config"])
     cfg_d["channels"] = tuple(cfg_d["channels"])
     cfg = GanTrainConfig(**cfg_d)

@@ -5,18 +5,23 @@ raw float64 little-endian array payloads in header order. Arrays cover model
 parameters, optimizer moments and the EMA shadow; scalars (step, optimizer
 counters, hyperparameters, metadata) live in the JSON header. No timestamps
 are stored, so identical runs produce byte-identical checkpoints.
+
+Writes are atomic: the bytes go to a temporary file beside the target, which
+then replaces it, so a crash leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "atomic_open"]
 
 MAGIC = b"AGCK"
 VERSION = 1
@@ -41,6 +46,20 @@ def _coerce(arrays: dict) -> dict[str, np.ndarray]:
     return out
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` for writing; it replaces ``path``
+    when the block exits cleanly and is removed when the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(
     path: str | Path,
     params: dict,
@@ -62,32 +81,34 @@ def save_checkpoint(
     keys = sorted(arrays)
     header["arrays"] = [{"key": k, "shape": list(arrays[k].shape)} for k in keys]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(_PREAMBLE.pack(MAGIC, VERSION, len(blob)))
         f.write(blob)
         for k in keys:
             f.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path, "rb") as f:
-        pre = f.read(_PREAMBLE.size)
-        if len(pre) != _PREAMBLE.size:
-            raise ValueError(f"{path}: truncated preamble")
-        magic, version, hlen = _PREAMBLE.unpack(pre)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen).decode())
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError(f"{path}: truncated payload for {spec['key']}")
-            arrays[spec["key"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
+    """Read a checkpoint from a path, or parse one from the file's bytes."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+    name = "checkpoint" if isinstance(source, bytes) else source
+    if len(raw) < _PREAMBLE.size:
+        raise ValueError(f"{name}: truncated preamble")
+    magic, version, hlen = _PREAMBLE.unpack_from(raw)
+    if magic != MAGIC:
+        raise ValueError(f"{name}: bad magic {magic!r}")
+    if version != VERSION:
+        raise ValueError(f"{name}: unsupported checkpoint version {version}")
+    pos = _PREAMBLE.size + hlen
+    header = json.loads(raw[_PREAMBLE.size: pos].decode())
+    arrays: dict[str, np.ndarray] = {}
+    for spec in header["arrays"]:
+        shape = tuple(spec["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        if pos + 8 * count > len(raw):
+            raise ValueError(f"{name}: truncated payload for {spec['key']}")
+        arrays[spec["key"]] = np.frombuffer(raw, "<f8", count, pos).reshape(shape).copy()
+        pos += 8 * count
 
     def collect(prefix: str) -> dict[str, np.ndarray]:
         plen = len(prefix)

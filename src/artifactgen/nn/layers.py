@@ -5,13 +5,18 @@ Convolutions use explicit symmetric zero padding; transposed convolutions
 follow L_out = (L_in - 1) * stride + kernel - 2 * padding. Weights initialize
 uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the supplied generator, so
 construction order plus seed fully determines the parameters.
+
+Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
+only its input and parameters. Their vjps recompute what they need from the
+input (im2col frames, group statistics) with tape primitives, so a backward
+pass with ``create_graph=True`` still differentiates through them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, fold1d, gather_rows, matmul, unfold1d
+from .tensor import Tensor, _fold, _unbroadcast, _unfold, gather_rows, matmul, no_grad
 
 __all__ = [
     "Module",
@@ -111,14 +116,29 @@ class Conv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[1] != self.c_in:
             raise ValueError(f"Conv1d({self.c_in}->{self.c_out}): bad input shape {x.shape}")
-        if self.padding:
-            x = x.pad_axis(2, self.padding, self.padding)
-        cols = unfold1d(x, self.kernel, self.stride)
-        w2 = self.weight.reshape((self.c_out, self.c_in * self.kernel))
-        out = matmul(w2, cols)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        weight, bias = self.weight, self.bias
+        k, s, p = self.kernel, self.stride, self.padding
+        w2_shape = (self.c_out, self.c_in * k)
+        with no_grad():
+            cols = _unfold(x, k, s, p)
+        data = weight.data.reshape(w2_shape) @ cols.data
+        if bias is not None:
+            data = data + bias.data
+
+        def vjp(g):
+            gx = gw = gb = None
+            w2 = weight.reshape(w2_shape)
+            if x.requires_grad:
+                gx = _fold(matmul(w2.swapaxes(-1, -2), g), x.shape[2], k, s, p)
+            if weight.requires_grad:
+                cols_t = _unfold(x, k, s, p, time_major=True)
+                gw = _unbroadcast(matmul(g, cols_t), w2_shape).reshape(weight.shape)
+            if bias is not None:
+                gb = _unbroadcast(g, bias.shape)
+            return gx, gw, gb
+
+        return Tensor._result(data, (x, weight) + ((bias,) if bias is not None else ()),
+                              vjp, "conv1d")
 
 
 class ConvTranspose1d(Module):
@@ -139,18 +159,31 @@ class ConvTranspose1d(Module):
         if x.ndim != 3 or x.shape[1] != self.c_in:
             raise ValueError(
                 f"ConvTranspose1d({self.c_in}->{self.c_out}): bad input shape {x.shape}")
-        length = x.shape[2]
-        w2 = self.weight.reshape((self.c_in, self.c_out * self.kernel)).swapaxes(0, 1)
-        cols = matmul(w2, x)                                   # (B, c_out*kernel, L)
-        full = fold1d(cols, (length - 1) * self.stride + self.kernel,
-                      self.kernel, self.stride)
-        out_len = self.out_length(length)
+        out_len = self.out_length(x.shape[2])
         if out_len < 1:
             raise ValueError("transposed conv output length < 1")
-        out = full.narrow(2, self.padding, out_len)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        weight, bias = self.weight, self.bias
+        k, s, p = self.kernel, self.stride, self.padding
+        w2_shape = (self.c_in, self.c_out * k)
+        with no_grad():
+            w2t = weight.reshape(w2_shape).swapaxes(0, 1)
+            out = _fold(Tensor(w2t.data @ x.data), out_len, k, s, p)   # (B, c_out, out_len)
+        data = out.data if bias is None else out.data + bias.data
+
+        def vjp(g):
+            gx = gw = gb = None
+            cols = _unfold(g, k, s, p)                                 # (B, c_out*k, L)
+            if x.requires_grad:
+                gx = matmul(weight.reshape(w2_shape), cols)
+            if weight.requires_grad:
+                gw = _unbroadcast(matmul(cols, x.swapaxes(-1, -2)), w2_shape[::-1])
+                gw = gw.swapaxes(0, 1).reshape(weight.shape)
+            if bias is not None:
+                gb = _unbroadcast(g, bias.shape)
+            return gx, gw, gb
+
+        return Tensor._result(data, (x, weight) + ((bias,) if bias is not None else ()),
+                              vjp, "conv_transpose1d")
 
 
 class Embedding(Module):
@@ -177,11 +210,42 @@ class GroupNorm(Module):
         b, c, length = x.shape
         if c != self.channels:
             raise ValueError(f"GroupNorm({self.channels}): got {c} channels")
-        xg = x.reshape((b, self.groups, c // self.groups, length))
-        mu = xg.mean(axis=(2, 3), keepdims=True)
-        var = ((xg - mu) ** 2).mean(axis=(2, 3), keepdims=True)
-        norm = (xg - mu) / ((var + self.eps).sqrt())
-        return norm.reshape((b, c, length)) * self.gamma + self.beta
+        gamma, beta, eps = self.gamma, self.beta, self.eps
+        grouped = (b, self.groups, c // self.groups, length)
+        axes = (2, 3)
+
+        def normalize():
+            """Per group (x - mean) / std, and std, in tape ops."""
+            xg = x.reshape(grouped)
+            centered = xg - xg.mean(axis=axes, keepdims=True)
+            std = ((centered ** 2).mean(axis=axes, keepdims=True) + eps).sqrt()
+            return centered / std, std
+
+        with no_grad():
+            xhat, _ = normalize()
+        data = xhat.data.reshape(b, c, length) * gamma.data + beta.data
+
+        def vjp(g):
+            # Wu & He 2018: per group, with xhat = (x - mean) / std and dxhat = g * gamma,
+            # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std. Both means
+            # come from per-channel sums over time, which also give dgamma and dbeta.
+            xhat, std = normalize()
+            g_sum = g.sum(axis=2, keepdims=True)                                   # (B, C, 1)
+            gxhat_sum = (g * xhat.reshape((b, c, length))).sum(axis=2, keepdims=True)
+            gx = None
+            if x.requires_grad:
+                gamma_g = gamma.reshape((1,) + grouped[1:3] + (1,))
+
+                def group_mean(per_channel):
+                    return (per_channel.reshape(grouped[:3] + (1,)) * gamma_g).sum(
+                        axis=2, keepdims=True) * (1.0 / (grouped[2] * length))
+
+                gx = (g.reshape(grouped) * gamma_g - group_mean(g_sum)
+                      - xhat * group_mean(gxhat_sum)) / std
+                gx = gx.reshape((b, c, length))
+            return gx, gxhat_sum.sum(axis=0, keepdims=True), g_sum.sum(axis=0, keepdims=True)
+
+        return Tensor._result(data, (x, gamma, beta), vjp, "group_norm")
 
 
 def film(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

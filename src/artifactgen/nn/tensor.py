@@ -6,15 +6,24 @@ written in terms of these primitive operations, so a backward pass executed
 with ``create_graph=True`` builds a new differentiable graph - this is what
 lets the gradient-penalty loss backpropagate through an input gradient.
 
+A graph can be backpropagated once unless ``create_graph=True``: a plain
+backward pass releases each node's vjp and parents as soon as it has run,
+so the tape is freed while the walk goes on, and a second pass through the
+released graph raises. No vjp closure holds its own output node, so a tape
+that is dropped without a backward pass is freed by reference counting
+alone, and under `no_grad` no closure is stored at all.
+
 All values are float64. Piecewise-linear ops (leaky_relu, abs) use their
 almost-everywhere derivative in second-order passes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import weakref
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -49,7 +58,7 @@ def no_grad():
 class Tensor:
     """A float64 array with optional derivative tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -75,6 +84,19 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
             out._vjp = None
+        return out
+
+    @staticmethod
+    def _result_of_output(data: np.ndarray, parents: tuple["Tensor", ...], vjp,
+                          op: str) -> "Tensor":
+        """`_result` for a vjp that reads the op's own output: ``vjp(g, out)``.
+
+        The stored closure holds the output weakly, so the node is no cycle.
+        """
+        out = Tensor._result(data, parents, None, op)
+        if out.requires_grad:
+            ref = weakref.ref(out)
+            out._vjp = lambda g: vjp(g, ref())
         return out
 
     def requires_grad_(self, flag: bool = True) -> "Tensor":
@@ -136,12 +158,9 @@ class Tensor:
 
     def __truediv__(self, other):
         a, b = self, _as_tensor(other)
-        data = a.data / b.data
-        out = Tensor._result(data, (a, b), None, "div")
-        out._vjp = lambda g: (
+        return Tensor._result_of_output(a.data / b.data, (a, b), lambda g, out: (
             _unbroadcast(g / b, a.data.shape),
-            _unbroadcast(-(g * out) / b, b.data.shape))
-        return out
+            _unbroadcast(-(g * out) / b, b.data.shape)), "div")
 
     def __rtruediv__(self, other):
         return _as_tensor(other) / self
@@ -163,28 +182,24 @@ class Tensor:
     # ---- elementwise functions ----------------------------------------------
 
     def exp(self):
-        out = Tensor._result(np.exp(self.data), (self,), None, "exp")
-        out._vjp = lambda g: (g * out,)
-        return out
+        return Tensor._result_of_output(np.exp(self.data), (self,),
+                                        lambda g, out: (g * out,), "exp")
 
     def log(self):
         a = self
         return Tensor._result(np.log(a.data), (a,), lambda g: (g / a,), "log")
 
     def sqrt(self):
-        out = Tensor._result(np.sqrt(self.data), (self,), None, "sqrt")
-        out._vjp = lambda g: (g / (out * 2.0),)
-        return out
+        return Tensor._result_of_output(np.sqrt(self.data), (self,),
+                                        lambda g, out: (g / (out * 2.0),), "sqrt")
 
     def tanh(self):
-        out = Tensor._result(np.tanh(self.data), (self,), None, "tanh")
-        out._vjp = lambda g: (g * (1.0 - out * out),)
-        return out
+        return Tensor._result_of_output(np.tanh(self.data), (self,),
+                                        lambda g, out: (g * (1.0 - out * out),), "tanh")
 
     def sigmoid(self):
-        out = Tensor._result(1.0 / (1.0 + np.exp(-self.data)), (self,), None, "sigmoid")
-        out._vjp = lambda g: (g * (out * (1.0 - out)),)
-        return out
+        return Tensor._result_of_output(1.0 / (1.0 + np.exp(-self.data)), (self,),
+                                        lambda g, out: (g * (out * (1.0 - out)),), "sigmoid")
 
     def abs(self):
         # a.e. derivative: sign(x), with sign(0) = 0
@@ -327,30 +342,53 @@ def unfold1d(x: Tensor, size: int, stride: int) -> Tensor:
     """
     if x.ndim != 3:
         raise ValueError(f"unfold1d expects (B, C, L), got {x.shape}")
-    b, c, length = x.data.shape
-    if size > length:
-        raise ValueError(f"frame size {size} exceeds length {length}")
-    view = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=2)
-    frames = np.ascontiguousarray(view[:, :, ::stride, :].transpose(0, 1, 3, 2))
-    data = frames.reshape(b, c * size, frames.shape[3])
-    return Tensor._result(data, (x,),
-                          lambda g: (fold1d(g, length, size, stride),), "unfold1d")
+    return _unfold(x, size, stride, 0)
 
 
 def fold1d(cols: Tensor, out_len: int, size: int, stride: int) -> Tensor:
     """Adjoint of :func:`unfold1d`: scatter-add frames back onto the time axis."""
     if cols.ndim != 3:
         raise ValueError(f"fold1d expects (B, C*size, F), got {cols.shape}")
-    b, rows, f = cols.data.shape
-    if rows % size != 0:
-        raise ValueError(f"row count {rows} not divisible by frame size {size}")
-    c = rows // size
-    frames = cols.data.reshape(b, c, size, f)
-    out = np.zeros((b, c, out_len))
+    if cols.shape[1] % size != 0:
+        raise ValueError(f"row count {cols.shape[1]} not divisible by frame size {size}")
+    return _fold(cols, out_len, size, stride, 0)
+
+
+def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = False) -> Tensor:
+    """:func:`unfold1d` of ``x`` zero-padded by ``pad`` at both ends, in one
+    gather; with ``time_major`` its (B, F, C*size) transpose, built directly."""
+    b, c, length = x.data.shape
+    if size > length + 2 * pad:
+        raise ValueError(f"frame size {size} exceeds length {length + 2 * pad}")
+    frames = (length + 2 * pad - size) // stride + 1
+    padded = np.zeros((b, c, length + 2 * pad))
+    padded[:, :, pad: pad + length] = x.data
+    sb, sc, st = padded.strides
+    if time_major:
+        view = as_strided(padded, (b, frames, c, size), (sb, stride * st, sc, st))
+        data = np.ascontiguousarray(view).reshape(b, frames, c * size)
+    else:
+        view = as_strided(padded, (b, c, size, frames), (sb, sc, st, stride * st))
+        data = np.ascontiguousarray(view).reshape(b, c * size, frames)
+
+    def vjp(g):
+        return (_fold(g.swapaxes(1, 2) if time_major else g, length, size, stride, pad),)
+
+    return Tensor._result(data, (x,), vjp, "unfold1d")
+
+
+def _fold(cols: Tensor, out_len: int, size: int, stride: int, pad: int) -> Tensor:
+    """Adjoint of :func:`_unfold`: :func:`fold1d` onto ``out_len + 2*pad``
+    samples, cropped to the middle ``out_len``."""
+    b, rows, frames = cols.data.shape
+    taps = cols.data.reshape(b, rows // size, size, frames)
+    out = np.zeros((b, rows // size, out_len + 2 * pad))
     for k in range(size):
-        out[:, :, k : k + stride * (f - 1) + 1 : stride] += frames[:, :, k, :]
+        out[:, :, k: k + stride * (frames - 1) + 1: stride] += taps[:, :, k, :]
+    if pad:
+        out = np.ascontiguousarray(out[:, :, pad: pad + out_len])
     return Tensor._result(out, (cols,),
-                          lambda g: (unfold1d(g, size, stride),), "fold1d")
+                          lambda g: (_unfold(g, size, stride, pad),), "fold1d")
 
 
 def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -391,54 +429,62 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order  # parents precede consumers
 
 
-def _backprop(root: Tensor, create_graph: bool) -> dict[int, Tensor]:
+def _released(g):
+    raise RuntimeError("this graph was already backpropagated and released; "
+                       "backpropagate with create_graph=True to walk it again")
+
+
+def _backprop(root: Tensor, create_graph: bool,
+              inputs: list[Tensor] | None = None) -> tuple[list[Tensor], list[Tensor | None]]:
+    """Walk the tape back from a scalar root; return ``inputs`` (by default the
+    leaves the root depends on) with their gradients, None where untouched.
+
+    A node's gradient is dropped once its vjp has run, unless it is one of
+    ``inputs``. Without ``create_graph`` the node's vjp and parents are
+    released too, so the node and what its vjp saved are freed as the walk
+    goes on.
+    """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar, got shape {root.data.shape}")
     if not root.requires_grad:
-        return {}
+        return list(inputs or ()), [None] * len(inputs or ())
     order = _topo_order(root)
+    if inputs is None:
+        inputs = [node for node in order if node._vjp is None]
+    keep = {id(t) for t in inputs}
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
 
-    def run():
-        for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None or node._vjp is None:
+    with nullcontext() if create_graph else no_grad():
+        while order:
+            node = order.pop()
+            vjp, parents = node._vjp, node._parents
+            if vjp is None:
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            if not create_graph:
+                node._vjp, node._parents = _released, ()
+            g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
+            if g is None:
+                continue
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 held = grads.get(id(parent))
                 grads[id(parent)] = pg if held is None else held + pg
-
-    if create_graph:
-        run()
-    else:
-        with no_grad():
-            run()
-    return grads
+    return inputs, [grads.get(id(t)) for t in inputs]
 
 
 def backward(loss: Tensor, create_graph: bool = False) -> None:
     """Backpropagate from a scalar loss, accumulating ``.grad`` on leaf tensors."""
-    grads = _backprop(loss, create_graph)
-    order = _topo_order(loss)
-    for node in order:
-        if node._vjp is None and node.requires_grad:
-            g = grads.get(id(node))
-            if g is None:
-                continue
-            node.grad = g if node.grad is None else node.grad + g
+    for leaf, g in zip(*_backprop(loss, create_graph)):
+        if g is not None:
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def grad(output: Tensor, inputs: list[Tensor], create_graph: bool = False) -> list[Tensor]:
     """Gradients of a scalar output w.r.t. ``inputs`` (zeros for untouched ones)."""
-    grads = _backprop(output, create_graph)
-    out = []
-    for t in inputs:
-        g = grads.get(id(t))
-        out.append(g if g is not None else Tensor(np.zeros_like(t.data)))
-    return out
+    inputs, grads = _backprop(output, create_graph, inputs)
+    return [g if g is not None else Tensor(np.zeros_like(t.data))
+            for t, g in zip(inputs, grads)]
 
 
 def input_gradient(f, x: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .nn import Adam, save_checkpoint
+from .nn.checkpoint import atomic_open
 
 __all__ = ["TrainingDiverged", "fit"]
 
@@ -77,7 +78,7 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{model}_losses.csv", "w", newline="") as f:
+        with atomic_open(out_dir / f"{model}_losses.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["step", *columns])
             for row in result.history:

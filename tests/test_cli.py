@@ -1,8 +1,14 @@
 """Command line and strict config: a tiny curate -> train -> sample -> evaluate
-run, same-seed reproducibility of the training outputs, and the config
-rejections that must exit with code 2."""
+run, same-seed reproducibility of the training outputs, one read of the
+checkpoint per `sample`, and the config rejections that must exit with code 2."""
 
+import builtins
+import hashlib
+import io
+import json
+import os
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -71,6 +77,28 @@ def test_same_seed_training_is_byte_identical(curated, tmp_path, model):
         first = (tmp_path / "a" / model / name).read_bytes()
         assert first == (tmp_path / "b" / model / name).read_bytes(), name
     assert len((tmp_path / "a" / model / names[0]).read_text().splitlines()) > 1
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_sample_reads_checkpoint_once(curated, tmp_path, monkeypatch, model):
+    assert train(curated, model, tmp_path) == 0
+    ckpt = tmp_path / model / f"{model}_best.ckpt"
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == ckpt:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run("sample", "--checkpoint", ckpt, "--class", 0, "--num", 2, "--steps", 2,
+               "--out", tmp_path / "fake") == 0
+    monkeypatch.undo()
+    assert len(opened) == 1
+    provenance = json.loads((tmp_path / "fake" / "provenance.json").read_text())
+    assert provenance["model_hash"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("model", ["gan", "ddpm"])

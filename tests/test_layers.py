@@ -1,5 +1,7 @@
 """Layer semantics (identity kernels, length arithmetic, FiLM identity,
-normalization statistics) and per-layer finite-difference gradient checks."""
+normalization statistics), per-layer finite-difference gradient checks, and
+the one-node Conv1d, ConvTranspose1d and GroupNorm against finite differences
+(first and second order) and against their composite formulation."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from artifactgen.nn import (
     Linear,
     Tensor,
     film,
+    fold1d,
     global_avg_pool1d,
     grad,
+    matmul,
     no_grad,
+    unfold1d,
 )
-from test_tensor import numeric_grad
+from test_tensor import check_grads, numeric_grad
 
 RNG = np.random.default_rng(0)
 
@@ -205,3 +210,168 @@ class TestModuleStateRoundTrip:
         state["weight"] = np.zeros((2, 2))
         with pytest.raises(ValueError, match="shape"):
             lin.load_state(state)
+
+
+# ---- the one-node layers against finite differences and their composites ----
+
+
+def composite_conv1d(conv, x):
+    """Conv1d as a chain of tape primitives: pad -> unfold -> matmul -> bias."""
+    if conv.padding:
+        x = x.pad_axis(2, conv.padding, conv.padding)
+    cols = unfold1d(x, conv.kernel, conv.stride)
+    out = matmul(conv.weight.reshape((conv.c_out, conv.c_in * conv.kernel)), cols)
+    return out + conv.bias
+
+
+def composite_conv_transpose1d(up, x):
+    """ConvTranspose1d as a chain: matmul -> fold -> crop -> bias."""
+    length = x.shape[2]
+    w2 = up.weight.reshape((up.c_in, up.c_out * up.kernel)).swapaxes(0, 1)
+    full = fold1d(matmul(w2, x), (length - 1) * up.stride + up.kernel, up.kernel, up.stride)
+    return full.narrow(2, up.padding, up.out_length(length)) + up.bias
+
+
+def composite_group_norm(gn, x):
+    """GroupNorm as elementwise tape ops."""
+    b, c, length = x.shape
+    xg = x.reshape((b, gn.groups, c // gn.groups, length))
+    mu = xg.mean(axis=(2, 3), keepdims=True)
+    var = ((xg - mu) ** 2).mean(axis=(2, 3), keepdims=True)
+    norm = (xg - mu) / ((var + gn.eps).sqrt())
+    return norm.reshape((b, c, length)) * gn.gamma + gn.beta
+
+
+# (c_in, c_out, kernel, stride, padding, length): every shape the GAN and the U-Net use
+CONV_SHAPES = [(2, 3, 8, 2, 3, 12), (3, 2, 9, 5, 2, 20), (3, 2, 9, 1, 4, 10),
+               (3, 4, 3, 1, 1, 7), (2, 3, 4, 2, 1, 9)]
+CONV_T_SHAPES = [(3, 2, 9, 5, 2, 4), (2, 3, 8, 2, 3, 5), (3, 2, 4, 2, 1, 5)]
+FUSED = (
+    [pytest.param(Conv1d, composite_conv1d, s, id=f"conv-k{s[2]}s{s[3]}p{s[4]}")
+     for s in CONV_SHAPES]
+    + [pytest.param(ConvTranspose1d, composite_conv_transpose1d, s,
+                    id=f"convT-k{s[2]}s{s[3]}p{s[4]}") for s in CONV_T_SHAPES]
+    + [pytest.param(GroupNorm, composite_group_norm, (2, 4, 6), id="groupnorm")])
+
+
+def make_layer(cls, shape, seed=0):
+    """A layer with random parameters (GroupNorm's too) and an input for it."""
+    rng = np.random.default_rng(seed)
+    if cls is GroupNorm:
+        groups, channels, length = shape
+        layer = GroupNorm(groups, channels)
+        layer.gamma.data = rng.uniform(0.5, 1.5, layer.gamma.shape)
+        layer.beta.data = rng.standard_normal(layer.beta.shape)
+        return layer, rng.standard_normal((2, channels, length)) * 2.0 + 0.5
+    c_in, c_out, k, s, p, length = shape
+    return cls(c_in, c_out, k, s, p, rng=rng), rng.standard_normal((2, c_in, length))
+
+
+def param_names(layer):
+    return sorted(layer.named_parameters())
+
+
+def set_params(layer, names, tensors):
+    for name, t in zip(names, tensors):
+        setattr(layer, name, t)
+
+
+def input_grad_penalty(layer, names, params, x_arr, forward=None):
+    """||d/dx sum(layer(x)^2)||^2, differentiable w.r.t. the parameters."""
+    set_params(layer, names, params)
+    x = Tensor(x_arr, requires_grad=True)
+    out = forward(layer, x) if forward else layer(x)
+    (gx,) = grad((out * out).sum(), [x], create_graph=True)
+    return (gx * gx).sum()
+
+
+def param_grad_penalty(layer, names, params, x, forward=None):
+    """sum over parameters of ||d/dp sum(layer(x)^2)||^2, differentiable w.r.t. x."""
+    set_params(layer, names, params)
+    out = forward(layer, x) if forward else layer(x)
+    gps = grad((out * out).sum(), params, create_graph=True)
+    return sum((gp * gp).sum() for gp in gps)
+
+
+class TestFusedNodes:
+    @pytest.mark.parametrize("cls, composite, shape", FUSED)
+    def test_one_tape_node(self, cls, composite, shape):
+        layer, x = make_layer(cls, shape)
+        xt = Tensor(x, requires_grad=True)
+        out = layer(xt)
+        assert out._parents[0] is xt
+        assert sorted(map(id, out._parents[1:])) == sorted(map(id, layer.parameters()))
+
+    @pytest.mark.parametrize("cls, composite, shape", FUSED)
+    def test_first_order_matches_fd(self, cls, composite, shape):
+        layer, x = make_layer(cls, shape)
+        names = param_names(layer)
+        arrays = [x] + [getattr(layer, n).data.copy() for n in names]
+
+        def build(tensors):
+            set_params(layer, names, tensors[1:])
+            return (layer(tensors[0]) ** 2).sum()
+
+        check_grads(build, arrays)
+
+    @pytest.mark.parametrize("cls, composite, shape", FUSED)
+    def test_second_order_matches_fd(self, cls, composite, shape):
+        """Gradient w.r.t. the parameters of a squared input-gradient norm (the
+        shape of the critic's gradient penalty), and w.r.t. the input of the
+        squared parameter-gradient norms."""
+        layer, x = make_layer(cls, shape)
+        names = param_names(layer)
+        arrays = [getattr(layer, n).data.copy() for n in names]
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        analytic = grad(input_grad_penalty(layer, names, params, x), params)
+        numeric = numeric_grad(
+            lambda arrs: input_grad_penalty(layer, names, [Tensor(a) for a in arrs], x).item(),
+            [a.copy() for a in arrays])
+        for name, a, n in zip(names, analytic, numeric):
+            assert np.allclose(a.data, n, rtol=1e-4, atol=1e-6), name
+
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        xt = Tensor(x, requires_grad=True)
+        (analytic,) = grad(param_grad_penalty(layer, names, params, xt), [xt])
+        (numeric,) = numeric_grad(
+            lambda arrs: param_grad_penalty(layer, names, params, Tensor(arrs[0])).item(),
+            [x.copy()])
+        assert np.allclose(analytic.data, numeric, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("cls, composite, shape", FUSED)
+    def test_agrees_with_composite(self, cls, composite, shape):
+        """The forward is bit-identical; gradients of both orders agree to 1e-10."""
+        layer, x = make_layer(cls, shape)
+        names = param_names(layer)
+        params = [Tensor(getattr(layer, n).data.copy(), requires_grad=True) for n in names]
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+        results = []
+        for forward in (None, composite):
+            set_params(layer, names, params)
+            xt = Tensor(x, requires_grad=True)
+            out = forward(layer, xt) if forward else layer(xt)
+            first = grad((out * out).sum(), [xt] + params)
+            second = grad(input_grad_penalty(layer, names, params, x, forward), params)
+            third = grad(param_grad_penalty(layer, names, params, xt, forward), [xt])
+            results.append((out.data, [g.data for g in first + second + third]))
+        (fused_out, fused_grads), (ref_out, ref_grads) = results
+        assert np.array_equal(fused_out, ref_out)
+        for a, b in zip(fused_grads, ref_grads):
+            assert rel(a, b) <= 1e-10
+
+    @pytest.mark.parametrize("cls, composite, shape", FUSED[:-1])
+    def test_conv_gradients_bit_identical_to_composite(self, cls, composite, shape):
+        """The convolutions' vjps run the composite's numpy ops in the same
+        order, so first-order gradients (and with them WGAN-GP checkpoints) do
+        not change by a bit."""
+        layer, x = make_layer(cls, shape)
+        grads = []
+        for forward in (None, composite):
+            xt = Tensor(x, requires_grad=True)
+            out = forward(layer, xt) if forward else layer(xt)
+            grads.append([g.data for g in grad((out * out).sum(), [xt] + layer.parameters())])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)

@@ -1,10 +1,16 @@
 """Autodiff engine: every primitive against central finite differences,
-double backprop through input gradients, and graph bookkeeping."""
+double backprop through input gradients, and graph bookkeeping: a backward
+pass releases the tape it walks, and a dropped tape is never cyclic garbage."""
+
+import gc
 
 import numpy as np
 import pytest
 
 from artifactgen.nn import (
+    Conv1d,
+    ConvTranspose1d,
+    GroupNorm,
     Tensor,
     backward,
     concat,
@@ -235,3 +241,86 @@ class TestDeterminism:
 
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
+
+
+class TestTapeRelease:
+    def test_grad_of_non_leaf_intermediate(self):
+        x = Tensor(RNG.standard_normal(4), requires_grad=True)
+        h = x * 3.0
+        gh, gx = grad((h * h).sum(), [h, x])
+        assert np.array_equal(gh.data, 2.0 * h.data)
+        assert np.allclose(gx.data, 18.0 * x.data, rtol=1e-12)
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = Tensor(RNG.standard_normal(3), requires_grad=True)
+        loss = (x.exp() * x).sum()
+        backward(loss)
+        with pytest.raises(RuntimeError, match="released"):
+            backward(loss)
+        with pytest.raises(RuntimeError, match="released"):
+            grad(loss, [x])
+
+    def test_create_graph_keeps_the_graph(self):
+        x = Tensor(RNG.standard_normal(3), requires_grad=True)
+        loss = (x * x).sum()
+        (g1,) = grad(loss, [x], create_graph=True)
+        (g2,) = grad(loss, [x])
+        assert np.array_equal(g1.data, g2.data)
+
+    def test_backward_frees_the_tape(self):
+        x = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
+        h = (x * 2.0).tanh()
+        loss = (h * h).sum()
+        backward(loss)
+        assert loss._parents == () and h._parents == ()
+        assert x.grad is not None
+
+
+# op name -> a graph through it, from a tensor of positive entries
+CYCLE_OPS = {
+    "div": lambda t: t / (t + 1.0),
+    "exp": lambda t: t.exp(),
+    "sqrt": lambda t: t.sqrt(),
+    "tanh": lambda t: t.tanh(),
+    "sigmoid": lambda t: t.sigmoid(),
+    "Conv1d": lambda t: Conv1d(2, 3, 3, 1, 1, rng=np.random.default_rng(0))(t),
+    "ConvTranspose1d": lambda t: ConvTranspose1d(2, 3, 4, 2, 1, rng=np.random.default_rng(0))(t),
+    "GroupNorm": lambda t: GroupNorm(1, 2)(t),
+}
+
+
+class TestNoCyclicGarbage:
+    """With the collector off, a dropped tape must be freed by reference
+    counting alone: `gc.collect()` then finds nothing."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("op", CYCLE_OPS)
+    def test_dropped_graph(self, op):
+        x = Tensor(RNG.uniform(0.5, 2.0, (2, 2, 6)), requires_grad=True)
+        loss = CYCLE_OPS[op](x).sum()
+        del loss
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("op", CYCLE_OPS)
+    def test_no_closure_under_no_grad(self, op):
+        x = Tensor(RNG.uniform(0.5, 2.0, (2, 2, 6)), requires_grad=True)
+        with no_grad():
+            out = CYCLE_OPS[op](x)
+        assert out._vjp is None and out._parents == ()
+        del out
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("op", CYCLE_OPS)
+    def test_backpropagated_graphs(self, op):
+        x = Tensor(RNG.uniform(0.5, 2.0, (2, 2, 6)), requires_grad=True)
+        backward(CYCLE_OPS[op](x).sum())
+        (gx,) = grad((CYCLE_OPS[op](x) ** 2).sum(), [x], create_graph=True)
+        backward((gx * gx).sum())
+        del gx
+        assert gc.collect() == 0
