@@ -43,6 +43,8 @@ from .synthetic import generate_corpus, recording_from_npz
 from .windowing import ClassMap, extract_windows
 
 SEED_ENV = "ARTIFACTGEN_SEED"
+# The normalization each model trains on, by checkpoint model name.
+MODEL_SCHEME = {"wgan": MINMAX_WINDOW, "ddpm": ZSCORE_RECORDING}
 
 
 def _effective_seed(config_seed: int, cli_seed: int | None = None) -> int:
@@ -80,6 +82,15 @@ def _write_run_record(out_dir: Path, command: str, cfg_hash: str, seed: int,
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _require_scheme(model: str, manifest: Manifest, what: str) -> None:
+    required, schemes = MODEL_SCHEME[model], manifest.norm_schemes()
+    if schemes != {required}:
+        raise ConfigError(
+            f"{what} requires '{required}' windows (per-window min-max pairs with the "
+            f"adversarial path, per-recording z-score with the diffusion path); manifest "
+            f"has {sorted(schemes)}")
 
 
 def _auto_split(subjects: list[str]) -> dict[str, str]:
@@ -154,13 +165,7 @@ def cmd_train(args) -> int:
     manifest = Manifest.load(args.manifest)
     base = Path(args.manifest).parent
 
-    required = MINMAX_WINDOW if args.model == "gan" else ZSCORE_RECORDING
-    schemes = manifest.norm_schemes()
-    if schemes != {required}:
-        raise ConfigError(
-            f"--model {args.model} requires '{required}' windows (per-window min-max "
-            f"pairs with the adversarial path, per-recording z-score with the diffusion "
-            f"path); manifest has {sorted(schemes)}")
+    _require_scheme("wgan" if args.model == "gan" else "ddpm", manifest, f"--model {args.model}")
 
     data, labels, _ = load_window_set(manifest, base, split="train")
     out_dir = Path(args.out or cfg.output_dir) / args.model
@@ -241,10 +246,20 @@ def cmd_evaluate(args) -> int:
         name, _, d = spec.partition("=")
         if not d:
             raise ConfigError(f"--fake expects NAME=DIR, got '{spec}'")
+        if name not in MODEL_SCHEME:
+            raise ConfigError(f"--fake NAME must be one of {sorted(MODEL_SCHEME)}, got '{name}'")
         fake_dir = Path(d)
         files = sorted(fake_dir.glob("*.agw"))
         if not files:
             raise ConfigError(f"no .agw windows found in '{fake_dir}'")
+        provenance = fake_dir / "provenance.json"
+        if not provenance.is_file():
+            raise ConfigError(f"no provenance.json in '{fake_dir}': cannot tell which model "
+                              f"made its windows, nor on which normalization")
+        model = json.loads(provenance.read_text()).get("model")
+        if model != name:
+            raise ConfigError(f"--fake {name}: '{fake_dir}' holds windows of model '{model}'")
+        _require_scheme(model, manifest, f"--fake {name}")
         arrays, labs = [], []
         for fp in files:
             arr, lab = read_window_file(fp)

@@ -3,6 +3,10 @@
 Welch PSD, band power, autocorrelation, channel covariance and STFT magnitude,
 all computed in double precision on raw numpy arrays. Conventions:
 
+- Batched: ``welch_psd``, ``autocorrelation`` and ``stft_magnitude`` work along
+  the last axis of ``(..., L)`` arrays, ``channel_covariance`` on the last two of
+  ``(..., C, L)``, so a whole ``(N, C, L)`` set is one call.
+- Welch and STFT share one framing: a strided frame view and one rfft.
 - Welch: periodic Hann taper, per-segment mean removal, density scaling
   (integral of a unit-variance white-noise PSD over [0, fs/2] is ~1).
 - Band integration: rectangle rule over bins with lo <= f < hi.
@@ -29,12 +33,16 @@ __all__ = [
 ]
 
 
+# Signals per chunk times L: bounds the temporaries of Welch and the ACF to a few MB.
+_CHUNK_SAMPLES = 1 << 16
+
+
 @dataclass(frozen=True)
 class Psd:
     """One-sided power spectral density on a uniform frequency grid."""
 
     freqs: np.ndarray   # Hz, ascending, freqs[0] == 0
-    power: np.ndarray   # density, >= 0, same length as freqs
+    power: np.ndarray   # density, >= 0, shape (..., len(freqs))
     nperseg: int
     noverlap: int
 
@@ -69,17 +77,32 @@ CANONICAL_BANDS = (
 def canonical_bands(fs: float) -> tuple[BandSpec, ...]:
     """Canonical bands with upper edges clipped to the Nyquist frequency."""
     nyq = fs / 2.0
-    out = []
-    for b in CANONICAL_BANDS:
-        if b.lo >= nyq:
-            continue
-        out.append(BandSpec(b.name, b.lo, min(b.hi, nyq)))
-    return tuple(out)
+    return tuple(BandSpec(b.name, b.lo, min(b.hi, nyq)) for b in CANONICAL_BANDS if b.lo < nyq)
 
 
 def _hann_periodic(n: int) -> np.ndarray:
     # Periodic Hann (DFT-even), the spectral-analysis variant.
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _by_rows(fn, x: np.ndarray, width: int) -> np.ndarray:
+    """``fn`` applied to bounded chunks of the signals in ``x`` (..., L); each call
+    maps (rows, L) to (rows, width), and the result has shape (..., width)."""
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((len(rows), width))
+    step = max(1, _CHUNK_SAMPLES // x.shape[-1])
+    for i in range(0, len(rows), step):
+        out[i: i + step] = fn(rows[i: i + step])
+    return out.reshape(x.shape[:-1] + (width,))
+
+
+def _frame_spectra(x: np.ndarray, size: int, step: int, detrend: bool) -> np.ndarray:
+    """rfft of the Hann-tapered, optionally mean-removed frames (a strided view) of
+    ``size`` samples every ``step`` along the last axis: (..., frames, size // 2 + 1)."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, size, axis=-1)[..., ::step, :]
+    if detrend:
+        frames = frames - frames.mean(axis=-1, keepdims=True)
+    return np.fft.rfft(frames * _hann_periodic(size), axis=-1)
 
 
 def welch_psd(
@@ -89,18 +112,17 @@ def welch_psd(
     overlap_frac: float = 0.5,
     detrend: bool = True,
 ) -> Psd:
-    """Averaged periodogram over Hann-tapered segments.
+    """Averaged periodogram over Hann-tapered segments of each signal along the last axis.
 
     Segments start every ``floor((1 - overlap_frac) * nperseg)`` samples; each
     is mean-removed (when ``detrend``), tapered and transformed. Scaling is
     density-style: ``|X_k|^2 / (fs * sum(w^2))`` with one-sided doubling.
+    ``power`` has shape ``x.shape[:-1] + (nperseg // 2 + 1,)``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected 1D signal, got shape {x.shape}")
     if fs <= 0:
         raise ValueError("fs must be > 0")
-    n = x.shape[0]
+    n = x.shape[-1]
     if nperseg is None:
         nperseg = min(n, 256)
     if nperseg == 0:
@@ -110,28 +132,18 @@ def welch_psd(
     if not 0.0 <= overlap_frac < 1.0:
         raise ValueError("overlap_frac must be in [0, 1)")
 
-    step = int(np.floor((1.0 - overlap_frac) * nperseg))
-    step = max(step, 1)
-    win = _hann_periodic(nperseg)
-    scale = 1.0 / (fs * np.sum(win ** 2))
-    nbins = nperseg // 2 + 1
+    step = max(int(np.floor((1.0 - overlap_frac) * nperseg)), 1)
 
-    acc = np.zeros(nbins)
-    nseg = 0
-    for start in range(0, n - nperseg + 1, step):
-        seg = x[start : start + nperseg]
-        if detrend:
-            seg = seg - seg.mean()
-        spec = np.fft.rfft(seg * win)
-        p = (spec.real ** 2 + spec.imag ** 2) * scale
-        p[1:] *= 2.0
-        if nperseg % 2 == 0:
-            p[-1] /= 2.0
-        acc += p
-        nseg += 1
+    def periodogram(rows):
+        spec = _frame_spectra(rows, nperseg, step, detrend)
+        return (spec.real ** 2 + spec.imag ** 2).mean(axis=-2)
 
-    freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    return Psd(freqs=freqs, power=acc / nseg, nperseg=nperseg, noverlap=nperseg - step)
+    p = _by_rows(periodogram, x, nperseg // 2 + 1) / (fs * np.sum(_hann_periodic(nperseg) ** 2))
+    p[..., 1:] *= 2.0
+    if nperseg % 2 == 0:
+        p[..., -1] /= 2.0
+    return Psd(freqs=np.fft.rfftfreq(nperseg, d=1.0 / fs), power=p, nperseg=nperseg,
+               noverlap=nperseg - step)
 
 
 def band_power(psd: Psd, band: BandSpec) -> float:
@@ -147,54 +159,53 @@ def band_power(psd: Psd, band: BandSpec) -> float:
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased normalized autocorrelation, r[0..max_lag].
+    """Biased normalized autocorrelation r[0..max_lag] of each signal along the
+    last axis, shape ``x.shape[:-1] + (max_lag + 1,)``.
 
-    r[tau] = sum_t (x_t - mean)(x_{t+tau} - mean) / sum_t (x_t - mean)^2.
-    Zero-variance signals are degenerate: r[0] = 1, the rest 0, with a warning.
+    r[tau] = sum_t (x_t - mean)(x_{t+tau} - mean) / sum_t (x_t - mean)^2, by FFT with
+    zero-padding to 2L. Zero-variance signals are degenerate: r = [1, 0, ...], with a warning.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     if max_lag >= n:
         raise ValueError(f"max_lag must be < signal length ({max_lag} >= {n})")
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    r = np.zeros(max_lag + 1)
-    r[0] = 1.0
-    if denom == 0.0 or np.ptp(x) == 0.0:
-        warnings.warn("zero-variance signal: autocorrelation is degenerate", stacklevel=2)
-        return r
-    for tau in range(1, max_lag + 1):
-        r[tau] = np.dot(xc[:-tau], xc[tau:]) / denom
+
+    def normalized_acov(rows):
+        spec = np.fft.rfft(rows - rows.mean(axis=1, keepdims=True), 2 * n)
+        acov = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, 2 * n)[:, : max_lag + 1]
+        return acov / np.maximum(acov[:, :1], np.finfo(np.float64).tiny)  # flat rows reset below
+
+    r = _by_rows(normalized_acov, x, max_lag + 1)
+    flat = np.ptp(x, axis=-1) == 0.0
+    if np.any(flat):
+        warnings.warn(f"{np.count_nonzero(flat)} zero-variance signal(s): autocorrelation "
+                      "is degenerate", stacklevel=2)
+        r[flat] = np.eye(1, max_lag + 1)
     return r
 
 
 def channel_covariance(w: np.ndarray) -> np.ndarray:
-    """Sample covariance (C x C) across time, per-channel mean removed, divisor L-1."""
+    """Sample covariance (C x C) across time of each (C, L) window in the last two
+    axes, per-channel mean removed, divisor L-1."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"expected (C, L) window, got shape {w.shape}")
-    length = w.shape[1]
+    if w.ndim < 2:
+        raise ValueError(f"expected (..., C, L) windows, got shape {w.shape}")
+    length = w.shape[-1]
     if length < 2:
         raise ValueError("need at least 2 samples for covariance")
-    wc = w - w.mean(axis=1, keepdims=True)
-    return wc @ wc.T / (length - 1)
+    wc = w - w.mean(axis=-1, keepdims=True)
+    return wc @ wc.swapaxes(-1, -2) / (length - 1)
 
 
 def stft_magnitude(x: np.ndarray, nfft: int, hop: int) -> np.ndarray:
-    """Hann-windowed frame magnitudes, shape (frames, nfft//2 + 1).
+    """Hann-windowed frame magnitudes along the last axis, shape (..., frames, nfft//2 + 1).
 
     Frame count is floor((L - nfft) / hop) + 1; frames start at multiples of hop.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     if nfft > n:
         raise ValueError(f"nfft={nfft} exceeds signal length {n}")
     if nfft < 1 or hop < 1:
         raise ValueError("nfft and hop must be >= 1")
-    win = _hann_periodic(nfft)
-    nframes = (n - nfft) // hop + 1
-    out = np.empty((nframes, nfft // 2 + 1))
-    for i in range(nframes):
-        seg = x[i * hop : i * hop + nfft]
-        out[i] = np.abs(np.fft.rfft(seg * win))
-    return out
+    return np.abs(_frame_spectra(x, nfft, hop, detrend=False))

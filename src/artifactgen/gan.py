@@ -249,7 +249,8 @@ def train_wgan(
     Per generator step the critic takes ``n_critic`` updates with loss
     E[D(fake)] - E[D(real)] + GP; the generator then minimizes -E[D(fake)]
     (plus the optional spectral term). Losses are logged per step; the best
-    checkpoint is the lowest smoothed absolute generator loss.
+    checkpoint is the lowest smoothed absolute generator loss. The batch is
+    ``min(batch_size, n // n_critic)``, so any ``n >= n_critic`` fills a step.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -264,10 +265,9 @@ def train_wgan(
     opt_d = Adam(critic.named_parameters(), cfg.lr, cfg.beta1, cfg.beta2)
 
     result = GanTrainResult(generator=gen, critic=critic)
-    bsz = cfg.batch_size
-    if n // bsz < cfg.n_critic:
-        raise ValueError(f"{n} windows give {n // bsz} batches of {bsz}; "
-                         f"need at least n_critic={cfg.n_critic} per generator step")
+    if n < cfg.n_critic:
+        raise ValueError(f"{n} windows cannot fill the n_critic={cfg.n_critic} batches "
+                         f"of a generator step")
 
     def step(batches: list[np.ndarray]) -> dict[str, float]:
         d_losses, gps = [], []

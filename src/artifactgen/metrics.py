@@ -9,13 +9,18 @@ real-vs-fake separability, and class-conditional kNN recovery.
 All metrics operate on flattened raw windows (there is no learned feature
 encoder in this artifact); the report header records that choice. Welch
 settings are shared between both sides of every comparison.
+
+`compute_report` computes each set's statistics once, over the whole
+``(N, C, L)`` array, and each pair of sets' squared-distance block once, which
+MMD, 1-NN and kNN all read. The public pair functions run the same kernels.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,18 +95,90 @@ def _check_pair(real: WindowSet, fake: WindowSet) -> None:
         raise ValueError(f"sampling rates differ: {real.fs} vs {fake.fs}")
 
 
-def _mean_psd(ws: WindowSet, welch: WelchSettings) -> dsp.Psd:
-    """PSD averaged over windows and channels (linear, so band powers commute)."""
-    acc = None
-    ref = None
-    for win in ws.data:
-        for ch in win:
-            p = dsp.welch_psd(ch, ws.fs, nperseg=welch.nperseg, overlap_frac=welch.overlap)
-            acc = p.power.copy() if acc is None else acc + p.power
-            ref = p
-    count = ws.n * ws.n_channels
-    return dsp.Psd(freqs=ref.freqs, power=acc / count,
-                   nperseg=ref.nperseg, noverlap=ref.noverlap)
+class _SetStats:
+    """The statistics of one window set that the metrics read. Each is computed
+    on first use, over the whole (N, C, L) array, and then kept."""
+
+    def __init__(self, ws: WindowSet, welch: WelchSettings = WelchSettings(), max_lag: int = 50):
+        self.ws, self.welch, self.max_lag = ws, welch, max_lag
+        self.flat = ws.flat()
+        self.mu = ws.data.mean(axis=(0, 2))           # (C,) channel means
+        self.sq = np.sum(self.flat ** 2, axis=1)       # (N,) squared row norms
+
+    @cached_property
+    def psd(self) -> dsp.Psd:
+        """Welch PSD averaged over windows and channels (linear, so band powers commute)."""
+        w = self.welch
+        psd = dsp.welch_psd(self.ws.data, self.ws.fs, nperseg=w.nperseg, overlap_frac=w.overlap)
+        return replace(psd, power=psd.power.mean(axis=(0, 1)))
+
+    @cached_property
+    def acf(self) -> np.ndarray:
+        """ACF averaged over windows and channels; a zero-variance channel adds [1, 0, ...]."""
+        return dsp.autocorrelation(self.ws.data, self.max_lag).mean(axis=(0, 1))
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        return dsp.channel_covariance(self.ws.data).mean(axis=0)
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        return self.sq_dist(self)
+
+    def sq_dist(self, other: "_SetStats") -> np.ndarray:
+        """Squared Euclidean distances from this set's rows to other's, not clamped at 0."""
+        return self.sq[:, None] + other.sq[None, :] - 2.0 * (self.flat @ other.flat.T)
+
+
+def _rel_err(r: _SetStats, f: _SetStats, bands: tuple[dsp.BandSpec, ...]) -> dict[str, float]:
+    out = {}
+    for b in bands:
+        pr = dsp.band_power(r.psd, b)
+        out[b.name] = abs(dsp.band_power(f.psd, b) - pr) / (pr + REL_ERR_EPS)
+    return out
+
+
+def _mmd(x: _SetStats, y: _SetStats, d_xy: np.ndarray, bandwidth: float | None = None) -> float:
+    m, n = d_xy.shape
+    if m < 2 or n < 2:
+        raise ValueError("MMD needs at least 2 samples on each side")
+    if bandwidth is None:
+        # the median heuristic: the median of the pooled pairwise distances, read
+        # from the within-set upper triangles and the whole cross block
+        pairs = np.concatenate([x.d2[np.triu_indices(m, k=1)], y.d2[np.triu_indices(n, k=1)],
+                                d_xy.ravel()])
+        bandwidth = float(np.median(np.sqrt(np.maximum(pairs, 0.0)))) or 1.0
+    gamma = 1.0 / (2.0 * bandwidth ** 2)
+    kxx, kyy, kxy = (np.exp(-gamma * np.maximum(d2, 0.0)) for d2 in (x.d2, y.d2, d_xy))
+    term_x = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+    term_y = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    return float(term_x + term_y - 2.0 * kxy.sum() / (m * n))
+
+
+def _one_nn(r: _SetStats, f: _SetStats, d_rf: np.ndarray) -> float:
+    n = min(d_rf.shape)
+    if n < 2:
+        raise ValueError("1-NN separability needs a pooled set of at least 4")
+    d2 = np.block([[r.d2[:n, :n], d_rf[:n, :n]], [d_rf[:n, :n].T, f.d2[:n, :n]]])
+    np.fill_diagonal(d2, np.inf)
+    is_fake = np.arange(2 * n) >= n
+    return float(np.mean(is_fake[np.argmin(d2, axis=1)] == is_fake))
+
+
+def _knn(d_fr: np.ndarray, y_real: np.ndarray, y_fake: np.ndarray, k: int) -> dict:
+    if k < 1 or k % 2 == 0:
+        raise ValueError("k must be odd and >= 1")
+    if k > len(y_real):
+        raise ValueError(f"k={k} exceeds real training set size {len(y_real)}")
+    neighbor_labels = y_real[np.argpartition(d_fr, k - 1, axis=1)[:, :k]]
+    classes = np.arange(int(max(y_real.max(), y_fake.max())) + 1)
+    votes = np.sum(neighbor_labels[:, :, None] == classes, axis=1)   # (N_fake, classes)
+    pred = np.argmax(votes, axis=1)  # argmax takes the lowest index on ties
+    per_class = {int(c): float(np.mean(pred[y_fake == c] == c)) if c in y_real else None
+                 for c in np.unique(y_fake)}
+    accs = [a for a in per_class.values() if a is not None]
+    return {"per_class": per_class, "macro": float(np.mean(accs)) if accs else float("nan"),
+            "k": k}
 
 
 def bandwise_rel_err(real: WindowSet, fake: WindowSet,
@@ -111,45 +188,22 @@ def bandwise_rel_err(real: WindowSet, fake: WindowSet,
     _check_pair(real, fake)
     if bands is None:
         bands = dsp.canonical_bands(real.fs)
-    p_real = _mean_psd(real, welch)
-    p_fake = _mean_psd(fake, welch)
-    out = {}
-    for b in bands:
-        pr = dsp.band_power(p_real, b)
-        pf = dsp.band_power(p_fake, b)
-        out[b.name] = abs(pf - pr) / (pr + REL_ERR_EPS)
-    return out
+    return _rel_err(_SetStats(real, welch), _SetStats(fake, welch), bands)
 
 
 def psd_l2_error(real: WindowSet, fake: WindowSet,
                  welch: WelchSettings = WelchSettings()) -> float:
     """Squared L2 distance between channel-averaged mean PSD vectors."""
     _check_pair(real, fake)
-    p_real = _mean_psd(real, welch)
-    p_fake = _mean_psd(fake, welch)
-    if p_real.freqs.shape != p_fake.freqs.shape or not np.allclose(p_real.freqs, p_fake.freqs):
-        raise ValueError("PSD frequency grids differ; use identical Welch settings")
-    return float(np.sum((p_real.power - p_fake.power) ** 2))
+    return float(np.sum((_SetStats(real, welch).psd.power - _SetStats(fake, welch).psd.power) ** 2))
 
 
 def channel_mean_discrepancy(real: WindowSet, fake: WindowSet) -> tuple[np.ndarray, float]:
     """Per-channel grand-mean difference (fake - real) and its mean magnitude."""
     if real.n_channels != fake.n_channels:
         raise ValueError("channel counts differ")
-    mu_real = real.data.mean(axis=(0, 2))
-    mu_fake = fake.data.mean(axis=(0, 2))
-    delta = mu_fake - mu_real
+    delta = fake.data.mean(axis=(0, 2)) - real.data.mean(axis=(0, 2))
     return delta, float(np.mean(np.abs(delta)))
-
-
-def _median_bandwidth(z: np.ndarray) -> float:
-    """Median of pooled pairwise Euclidean distances (the median heuristic)."""
-    sq = np.sum(z ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    np.maximum(d2, 0.0, out=d2)
-    iu = np.triu_indices(len(z), k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
-    return med if med > 0 else 1.0
 
 
 def mmd_unbiased(x_set: WindowSet, y_set: WindowSet,
@@ -159,31 +213,10 @@ def mmd_unbiased(x_set: WindowSet, y_set: WindowSet,
     Kernel bandwidth defaults to the median heuristic over the pooled pairwise
     distances. The estimate can be slightly negative (unbiasedness).
     """
-    x = x_set.flat()
-    y = y_set.flat()
-    m, n = len(x), len(y)
-    if m < 2 or n < 2:
-        raise ValueError("MMD needs at least 2 samples on each side")
-    if x.shape[1] != y.shape[1]:
+    x, y = _SetStats(x_set), _SetStats(y_set)
+    if x.flat.shape[1] != y.flat.shape[1]:
         raise ValueError("flattened dimensions differ")
-    if bandwidth is None:
-        bandwidth = _median_bandwidth(np.concatenate([x, y], axis=0))
-    gamma = 1.0 / (2.0 * bandwidth ** 2)
-
-    def gram(a, b):
-        sq_a = np.sum(a ** 2, axis=1)
-        sq_b = np.sum(b ** 2, axis=1)
-        d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-gamma * d2)
-
-    kxx = gram(x, x)
-    kyy = gram(y, y)
-    kxy = gram(x, y)
-    term_x = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    term_y = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    term_xy = 2.0 * kxy.sum() / (m * n)
-    return float(term_x + term_y - term_xy)
+    return _mmd(x, y, x.sq_dist(y), bandwidth)
 
 
 def diversity(s: WindowSet) -> float:
@@ -217,27 +250,14 @@ def cov_frobenius(real: WindowSet, fake: WindowSet) -> float:
     """Frobenius distance between window-averaged channel covariance matrices."""
     if real.n_channels != fake.n_channels:
         raise ValueError("channel counts differ")
-
-    def mean_cov(ws):
-        return np.mean([dsp.channel_covariance(w) for w in ws.data], axis=0)
-
-    return float(np.linalg.norm(mean_cov(real) - mean_cov(fake), ord="fro"))
+    return float(np.linalg.norm(_SetStats(real).cov - _SetStats(fake).cov))
 
 
 def acf_l2(real: WindowSet, fake: WindowSet, max_lag: int = 50) -> float:
     """L2 distance between set-averaged, channel-averaged autocorrelations."""
     _check_pair(real, fake)
-
-    def mean_acf(ws):
-        acc = np.zeros(max_lag + 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # degenerate windows contribute zeros
-            for win in ws.data:
-                for ch in win:
-                    acc += dsp.autocorrelation(ch, max_lag)
-        return acc / (ws.n * ws.n_channels)
-
-    return float(np.linalg.norm(mean_acf(real) - mean_acf(fake)))
+    return float(np.linalg.norm(_SetStats(real, max_lag=max_lag).acf
+                                - _SetStats(fake, max_lag=max_lag).acf))
 
 
 def one_nn_separability(real: WindowSet, fake: WindowSet) -> float:
@@ -246,16 +266,8 @@ def one_nn_separability(real: WindowSet, fake: WindowSet) -> float:
     0.5 means indistinguishable, 1.0 trivially separable. Both sets are
     truncated to the smaller size. Ties break toward the lower pooled index.
     """
-    n = min(real.n, fake.n)
-    pooled = np.concatenate([real.flat()[:n], fake.flat()[:n]], axis=0)
-    if len(pooled) < 4:
-        raise ValueError("1-NN separability needs a pooled set of at least 4")
-    labels = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-    sq = np.sum(pooled ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.argmin(d2, axis=1)
-    return float(np.mean(labels[nn] == labels))
+    r, f = _SetStats(real), _SetStats(fake)
+    return _one_nn(r, f, r.sq_dist(f))
 
 
 def knn_class_recovery(real_train: WindowSet, fake_eval: WindowSet,
@@ -266,37 +278,8 @@ def knn_class_recovery(real_train: WindowSet, fake_eval: WindowSet,
     macro accuracy over evaluable classes. Vote ties break toward the lower
     class index.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and >= 1")
-    if k > real_train.n:
-        raise ValueError(f"k={k} exceeds real training set size {real_train.n}")
-    xr, yr = real_train.flat(), real_train.labels
-    xf, yf = fake_eval.flat(), fake_eval.labels
-    n_classes = int(max(yr.max(), yf.max())) + 1
-
-    sq_r = np.sum(xr ** 2, axis=1)
-    sq_f = np.sum(xf ** 2, axis=1)
-    d2 = sq_f[:, None] + sq_r[None, :] - 2.0 * (xf @ xr.T)
-    neighbor_idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-
-    votes = np.zeros((len(xf), n_classes), dtype=int)
-    for j in range(k):
-        np.add.at(votes, (np.arange(len(xf)), yr[neighbor_idx[:, j]]), 1)
-    pred = np.argmax(votes, axis=1)  # argmax takes the lowest index on ties
-
-    present = set(int(c) for c in np.unique(yr))
-    per_class: dict[int, float | None] = {}
-    evaluable_accs = []
-    for c in sorted(set(int(c) for c in np.unique(yf))):
-        if c not in present:
-            per_class[c] = None
-            continue
-        mask = yf == c
-        acc = float(np.mean(pred[mask] == c))
-        per_class[c] = acc
-        evaluable_accs.append(acc)
-    macro = float(np.mean(evaluable_accs)) if evaluable_accs else float("nan")
-    return {"per_class": per_class, "macro": macro, "k": k}
+    d_fr = _SetStats(fake_eval).sq_dist(_SetStats(real_train))
+    return _knn(d_fr, real_train.labels, fake_eval.labels, k)
 
 
 @dataclass
@@ -336,6 +319,8 @@ def compute_report(
     if bad:
         raise ValueError(f"unknown model keys {sorted(bad)}; expected subset of "
                          f"{sorted(MODEL_PREFIX)}")
+    for fake in fakes.values():
+        _check_pair(real, fake)
     if bands is None:
         bands = dsp.canonical_bands(real.fs)
 
@@ -344,28 +329,31 @@ def compute_report(
     if skipped:
         metrics["skipped"] = skipped
 
+    r = _SetStats(real, welch, max_lag)
+    stats = {name: _SetStats(fake, welch, max_lag) for name, fake in fakes.items()}
     for name, fake in fakes.items():
-        p = MODEL_PREFIX[name]
-        rel = bandwise_rel_err(real, fake, bands, welch)
-        for band_name, val in rel.items():
+        f, p = stats[name], MODEL_PREFIX[name]
+        for band_name, val in _rel_err(r, f, bands).items():
             metrics[f"rel_err_{band_name}_{name}"] = val
-        metrics[f"psd_l2_{name}"] = psd_l2_error(real, fake, welch)
-        delta, effect = channel_mean_discrepancy(real, fake)
+        metrics[f"psd_l2_{name}"] = float(np.sum((r.psd.power - f.psd.power) ** 2))
+        delta = f.mu - r.mu
         metrics[f"{p}_mu_diff"] = delta.tolist()
-        metrics[f"{p}_mean_effect"] = effect
-        metrics[f"mmd_r_{name}"] = mmd_unbiased(real, fake)
+        metrics[f"{p}_mean_effect"] = float(np.mean(np.abs(delta)))
+        d_rf = r.sq_dist(f)
+        metrics[f"mmd_r_{name}"] = _mmd(r, f, d_rf)
         metrics[f"diversity_{name}"] = diversity(fake)
-        metrics[f"cov_frob_{name}"] = cov_frobenius(real, fake)
-        metrics[f"acf_l2_{name}"] = acf_l2(real, fake, max_lag)
-        metrics[f"one_nn_acc_{name}"] = one_nn_separability(real, fake)
-        rec = knn_class_recovery(real, fake, knn_k)
+        metrics[f"cov_frob_{name}"] = float(np.linalg.norm(r.cov - f.cov))
+        metrics[f"acf_l2_{name}"] = float(np.linalg.norm(r.acf - f.acf))
+        metrics[f"one_nn_acc_{name}"] = _one_nn(r, f, d_rf)
+        rec = _knn(d_rf.T, real.labels, fake.labels, knn_k)
         metrics[f"knn_recovery_{name}"] = {
             "per_class": {str(c): a for c, a in rec["per_class"].items()},
             "macro": rec["macro"], "k": rec["k"],
         }
 
-    if "ddpm" in fakes and "wgan" in fakes:
-        metrics["mmd_ddpm_wgan"] = mmd_unbiased(fakes["ddpm"], fakes["wgan"])
+    if "ddpm" in stats and "wgan" in stats:
+        d, g = stats["ddpm"], stats["wgan"]
+        metrics["mmd_ddpm_wgan"] = _mmd(d, g, d.sq_dist(g))
 
     meta = {
         "welch": welch.to_dict(),

@@ -33,8 +33,9 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     ``result.best_step`` and ``result.stopped_early``.
 
     Each epoch cuts a permutation of ``n`` from ``rng`` into batches of
-    ``min(cfg.batch_size, n)`` and hands ``step`` ``batches_per_step`` of them at a
-    time; short tails are dropped. ``step`` returns the loss terms named in
+    ``min(cfg.batch_size, n // batches_per_step)``, so that ``n`` holds at least one
+    step, and hands ``step`` ``batches_per_step`` of them at a time; short tails
+    are dropped. ``step`` returns the loss terms named in
     ``columns``. ``keep()`` stores the model's state whenever the mean absolute
     ``monitor`` over the last ``cfg.smooth_window`` steps reaches a new low. With
     ``out_dir`` the run writes ``<model>_losses.csv``, ``<model>_last.ckpt``
@@ -42,7 +43,7 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     """
     best = np.inf
     epochs_since_best = 0
-    bsz = min(cfg.batch_size, n)
+    bsz = min(cfg.batch_size, n // batches_per_step)
 
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)

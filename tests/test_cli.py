@@ -1,6 +1,7 @@
 """Command line and strict config: a tiny curate -> train -> sample -> evaluate
-run, same-seed reproducibility of the training outputs, one read of the
-checkpoint per `sample`, and the config rejections that must exit with code 2."""
+run, the all-defaults GAN pipeline, same-seed reproducibility of the training
+outputs, one read of the checkpoint per `sample`, and the config rejections and
+refused evaluations that must exit with code 2."""
 
 import builtins
 import hashlib
@@ -66,6 +67,52 @@ def test_end_to_end(curated, tmp_path):
                    "--fake", f"{name}={tmp_path / name}",
                    "--out", tmp_path / f"report_{name}.json") == 0
         assert (tmp_path / f"report_{name}.json").is_file()
+
+
+@pytest.fixture(scope="module")
+def sampled(curated, tmp_path_factory):
+    """Four windows from each tiny trained model: {fake name: sample directory}."""
+    root = tmp_path_factory.mktemp("sampled")
+    out = {}
+    for model, name in (("gan", "wgan"), ("ddpm", "ddpm")):
+        assert train(curated, model, root) == 0
+        out[name] = root / name
+        assert run("sample", "--checkpoint", root / model / f"{model}_best.ckpt", "--class", 0,
+                   "--num", 4, "--steps", 2, "--out", out[name]) == 0
+    return out
+
+
+@pytest.mark.parametrize("real, fake, message", [
+    ("gan", "ddpm=ddpm", "--fake ddpm requires 'zscore_recording' windows"),
+    ("ddpm", "wgan=wgan", "--fake wgan requires 'minmax_window' windows"),
+    ("gan", "ddpm=wgan", "holds windows of model 'wgan'"),
+    ("gan", "wgan=bare", "no provenance.json"),
+], ids=["ddpm_on_minmax", "wgan_on_zscore", "name_differs", "no_provenance"])
+def test_evaluate_refuses_what_it_cannot_compare(curated, sampled, tmp_path, capsys,
+                                                  real, fake, message):
+    bare = tmp_path / "bare"   # the WGAN windows without their provenance.json
+    bare.mkdir()
+    for path in sampled["wgan"].glob("*.agw"):
+        (bare / path.name).write_bytes(path.read_bytes())
+    name, _, source = fake.partition("=")
+    fake_dir = bare if source == "bare" else sampled[source]
+    config, manifest = curated[real]
+    assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"{name}={fake_dir}",
+               "--out", tmp_path / "report.json") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_default_pipeline_trains_the_gan(tmp_path, capsys):
+    """The default corpus has 207 training windows, fewer than batch_size 64 x
+    n_critic 5: the GAN batch shrinks so that one epoch still fills a step."""
+    config = tmp_path / "defaults.yaml"
+    config.write_text(yaml.safe_dump({"seed": 0, "output_dir": str(tmp_path),
+                                      "model": {"gan": {"epochs": 1}}}))
+    assert run("curate", "--config", config, "--synthetic") == 0
+    assert run("train", "--config", config, "--model", "gan",
+               "--manifest", tmp_path / "dataset" / "manifest.json") == 0
+    assert "gan: 1 steps" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("model", ["gan", "ddpm"])
