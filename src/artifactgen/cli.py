@@ -45,6 +45,10 @@ from .windowing import ClassMap, extract_windows
 SEED_ENV = "ARTIFACTGEN_SEED"
 # The normalization each model trains on, by checkpoint model name.
 MODEL_SCHEME = {"wgan": MINMAX_WINDOW, "ddpm": ZSCORE_RECORDING}
+# WGAN `sample` runs the generator on about this many windows at a time, which
+# bounds its im2col temporaries. Chunks of 16 or more give the same bits as one
+# batch; a chunk of 1 would not (BLAS takes its matrix-vector path).
+SAMPLE_CHUNK = 32
 
 
 def _effective_seed(config_seed: int, cli_seed: int | None = None) -> int:
@@ -200,9 +204,11 @@ def cmd_sample(args) -> int:
             raise ConfigError(f"class index {args.class_index} out of range "
                               f"[0, {gen.n_classes})")
         z = rng.standard_normal((args.num, gen.latent_dim))
-        y = np.full(args.num, args.class_index, dtype=np.int64)
+        chunks = np.array_split(z, -(-args.num // SAMPLE_CHUNK))
         with no_grad():
-            windows = gen(z, y).data
+            windows = np.concatenate([
+                gen(zc, np.full(len(zc), args.class_index, dtype=np.int64)).data
+                for zc in chunks])
         sampler_info = {"latent_dim": gen.latent_dim}
     elif model == "ddpm":
         net, sched, _ = load_unet(ck, use_ema=True)

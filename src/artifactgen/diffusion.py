@@ -128,7 +128,7 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class ResBlock(Module):
-    """GroupNorm -> silu -> conv -> FiLM -> GroupNorm -> silu -> conv, residual.
+    """GroupNorm+SiLU -> conv -> FiLM -> GroupNorm+SiLU -> conv, residual.
 
     The FiLM projection is zero-initialized, so at init gamma = 1, beta = 0 and
     the block matches its unconditioned counterpart exactly.
@@ -143,12 +143,12 @@ class ResBlock(Module):
         self.conv2 = Conv1d(width, width, 3, 1, 1, rng)
 
     def forward(self, x: Tensor, cond: Tensor) -> Tensor:
-        h = self.conv1(silu(self.norm1(x)))
+        h = self.conv1(self.norm1(x))
         gb = self.film_proj(cond)
         gamma = gb.narrow(1, 0, self.width) + 1.0
         beta = gb.narrow(1, self.width, self.width)
         h = film(h, gamma, beta)
-        h = self.conv2(silu(self.norm2(h)))
+        h = self.conv2(self.norm2(h))
         return x + h
 
 
@@ -211,7 +211,7 @@ class UNet1D(Module):
         m = self.mid(h2, cond)
         u1 = self.dec1(self.fuse1(concat([self.up1(m), h1], axis=1)), cond)
         u0 = self.dec0(self.fuse0(concat([self.up0(u1), h0], axis=1)), cond)
-        out = self.head(silu(self.head_norm(u0)))
+        out = self.head(self.head_norm(u0))
         if pad:
             out = out.narrow(2, 0, length)
         return out

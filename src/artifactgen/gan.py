@@ -36,6 +36,7 @@ from .nn import (
     leaky_relu,
     matmul,
     no_grad,
+    silu,
     unfold1d,
 )
 from .nn.checkpoint import Checkpoint, load_checkpoint
@@ -149,7 +150,7 @@ class ProjectionCritic(Module):
             return leaky_relu(x, self.slope)
         if self.activation == "tanh":
             return x.tanh()
-        return x * x.sigmoid()
+        return silu(x)
 
     def features(self, x: Tensor) -> Tensor:
         h = self._act(self.conv1(x))

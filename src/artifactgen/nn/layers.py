@@ -1,5 +1,5 @@
 """Neural-network layers on top of the autodiff tensor: 1D convolutions,
-linear/embedding layers, group normalization, FiLM and pooling.
+linear/embedding layers, group normalization fused with SiLU, FiLM and pooling.
 
 Convolutions use explicit symmetric zero padding; transposed convolutions
 follow L_out = (L_in - 1) * stride + kernel - 2 * padding. Weights initialize
@@ -7,16 +7,21 @@ uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the supplied generator, so
 construction order plus seed fully determines the parameters.
 
 Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
-only its input and parameters. Their vjps recompute what they need from the
-input (im2col frames, group statistics) with tape primitives, so a backward
-pass with ``create_graph=True`` still differentiates through them.
+only its input and parameters (GroupNorm also its per-group statistics). The
+convolutions' vjps rebuild their im2col frames from the input with tape
+primitives, so a backward pass with ``create_graph=True`` still
+differentiates through them; each weight gradient is one flat GEMM over the
+whole batch. GroupNorm includes the SiLU that follows it everywhere it is
+used, and is off the critic's path: its vjp recomputes the activation in
+numpy, is first-order only, and raises under ``create_graph=True``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _fold, _unbroadcast, _unfold, gather_rows, matmul, no_grad
+from .tensor import (Tensor, _first_order_only, _fold, _unbroadcast, _unfold, gather_rows,
+                     matmul, no_grad)
 
 __all__ = [
     "Module",
@@ -123,7 +128,7 @@ class Conv1d(Module):
             cols = _unfold(x, k, s, p)
         data = weight.data.reshape(w2_shape) @ cols.data
         if bias is not None:
-            data = data + bias.data
+            data += bias.data
 
         def vjp(g):
             gx = gw = gb = None
@@ -131,8 +136,10 @@ class Conv1d(Module):
             if x.requires_grad:
                 gx = _fold(matmul(w2.swapaxes(-1, -2), g), x.shape[2], k, s, p)
             if weight.requires_grad:
+                # one (C_out, B*L) @ (B*L, C_in*k) product, not B products summed
                 cols_t = _unfold(x, k, s, p, time_major=True)
-                gw = _unbroadcast(matmul(g, cols_t), w2_shape).reshape(weight.shape)
+                gw = matmul(_batch_columns(g), cols_t.reshape((-1, w2_shape[1])))
+                gw = gw.reshape(weight.shape)
             if bias is not None:
                 gb = _unbroadcast(g, bias.shape)
             return gx, gw, gb
@@ -168,7 +175,9 @@ class ConvTranspose1d(Module):
         with no_grad():
             w2t = weight.reshape(w2_shape).swapaxes(0, 1)
             out = _fold(Tensor(w2t.data @ x.data), out_len, k, s, p)   # (B, c_out, out_len)
-        data = out.data if bias is None else out.data + bias.data
+        data = out.data
+        if bias is not None:
+            data += bias.data
 
         def vjp(g):
             gx = gw = gb = None
@@ -176,14 +185,19 @@ class ConvTranspose1d(Module):
             if x.requires_grad:
                 gx = matmul(weight.reshape(w2_shape), cols)
             if weight.requires_grad:
-                gw = _unbroadcast(matmul(cols, x.swapaxes(-1, -2)), w2_shape[::-1])
-                gw = gw.swapaxes(0, 1).reshape(weight.shape)
+                cols_t = cols.swapaxes(1, 2).reshape((-1, w2_shape[1]))  # (B*L, c_out*k)
+                gw = matmul(_batch_columns(x), cols_t).reshape(weight.shape)
             if bias is not None:
                 gb = _unbroadcast(g, bias.shape)
             return gx, gw, gb
 
         return Tensor._result(data, (x, weight) + ((bias,) if bias is not None else ()),
                               vjp, "conv_transpose1d")
+
+
+def _batch_columns(t: Tensor) -> Tensor:
+    """(B, C, L) -> (C, B*L): the batch laid out along the columns."""
+    return t.swapaxes(0, 1).reshape((t.shape[1], -1))
 
 
 class Embedding(Module):
@@ -198,7 +212,21 @@ class Embedding(Module):
         return gather_rows(self.weight, idx)
 
 
+def _sigmoid(y: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-y)) in a single new array."""
+    s = np.exp(-y)
+    s += 1.0
+    return np.reciprocal(s, out=s)
+
+
 class GroupNorm(Module):
+    """Group normalization followed by SiLU: ``silu(gamma * xhat + beta)``.
+
+    One tape node that saves only its input and the per-group statistics; the
+    SiLU is part of the layer. Its vjp computes in numpy and is first-order
+    only: a backward pass through it with ``create_graph=True`` raises.
+    """
+
     def __init__(self, groups: int, channels: int, eps: float = 1e-5):
         if channels % groups != 0:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
@@ -210,42 +238,61 @@ class GroupNorm(Module):
         b, c, length = x.shape
         if c != self.channels:
             raise ValueError(f"GroupNorm({self.channels}): got {c} channels")
-        gamma, beta, eps = self.gamma, self.beta, self.eps
+        gamma, beta = self.gamma, self.beta
         grouped = (b, self.groups, c // self.groups, length)
-        axes = (2, 3)
+        count = grouped[2] * length
+        gamma_g = gamma.data.reshape(grouped[1:3] + (1,))                 # (G, C/G, 1)
+        beta_g = beta.data.reshape(grouped[1:3] + (1,))
+        xg = x.data.reshape(grouped)
+        mean = xg.mean(axis=(2, 3), keepdims=True)                       # (B, G, 1, 1)
+        y = xg - mean
+        var = np.einsum("bgct,bgct->bg", y, y)[:, :, None, None] * (1.0 / count)
+        rstd = 1.0 / np.sqrt(var + self.eps)
 
-        def normalize():
-            """Per group (x - mean) / std, and std, in tape ops."""
-            xg = x.reshape(grouped)
-            centered = xg - xg.mean(axis=axes, keepdims=True)
-            std = ((centered ** 2).mean(axis=axes, keepdims=True) + eps).sqrt()
-            return centered / std, std
+        def pre_activation(out):
+            """gamma * xhat + beta as one per-(b, c) scale and shift, into ``out``."""
+            scale = gamma_g * rstd                                           # (B, G, C/G, 1)
+            shift = beta_g - mean * scale
+            np.multiply(xg, scale, out=out)
+            out += shift
+            return scale
 
-        with no_grad():
-            xhat, _ = normalize()
-        data = xhat.data.reshape(b, c, length) * gamma.data + beta.data
+        pre_activation(y)
+        y *= _sigmoid(y)
 
         def vjp(g):
-            # Wu & He 2018: per group, with xhat = (x - mean) / std and dxhat = g * gamma,
-            # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std. Both means
-            # come from per-channel sums over time, which also give dgamma and dbeta.
-            xhat, std = normalize()
-            g_sum = g.sum(axis=2, keepdims=True)                                   # (B, C, 1)
-            gxhat_sum = (g * xhat.reshape((b, c, length))).sum(axis=2, keepdims=True)
-            gx = None
+            # Wu & He 2018 for the normalization, behind the SiLU's
+            # dy = g * s * (1 + y * (1 - s)). Per group, with dxhat = dy * gamma,
+            # dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)); both
+            # means, dgamma and dbeta come from the per-(b, c) sums over time
+            # of dy and dy * x.
+            _first_order_only("group_norm")
+            dy = np.empty(grouped)
+            scale = pre_activation(dy)
+            s = _sigmoid(dy)
+            ys = dy * s
+            dy -= ys
+            dy += 1.0
+            dy *= s
+            dy *= g.data.reshape(grouped)
+            dy_sum = dy.sum(axis=3, keepdims=True)                          # (B, G, C/G, 1)
+            dyx_sum = np.einsum("bgct,bgct->bgc", dy, xg)[..., None]
+            dy_xhat_sum = (dyx_sum - mean * dy_sum) * rstd
+            dgamma = dy_xhat_sum.sum(axis=0).reshape(gamma.shape)
+            dbeta = dy_sum.sum(axis=0).reshape(beta.shape)
+            dx = None
             if x.requires_grad:
-                gamma_g = gamma.reshape((1,) + grouped[1:3] + (1,))
+                m1 = (dy_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
+                m2 = (dy_xhat_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
+                # dx = scale * dy - rstd^2 * m2 * x + rstd * (rstd * m2 * mean - m1)
+                np.multiply(xg, -(rstd * rstd * m2), out=ys)
+                ys += rstd * (rstd * m2 * mean - m1)
+                dy *= scale
+                dy += ys
+                dx = Tensor(dy.reshape(b, c, length))
+            return dx, Tensor(dgamma), Tensor(dbeta)
 
-                def group_mean(per_channel):
-                    return (per_channel.reshape(grouped[:3] + (1,)) * gamma_g).sum(
-                        axis=2, keepdims=True) * (1.0 / (grouped[2] * length))
-
-                gx = (g.reshape(grouped) * gamma_g - group_mean(g_sum)
-                      - xhat * group_mean(gxhat_sum)) / std
-                gx = gx.reshape((b, c, length))
-            return gx, gxhat_sum.sum(axis=0, keepdims=True), g_sum.sum(axis=0, keepdims=True)
-
-        return Tensor._result(data, (x, gamma, beta), vjp, "group_norm")
+        return Tensor._result(y.reshape(b, c, length), (x, gamma, beta), vjp, "group_norm")
 
 
 def film(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -5,6 +5,9 @@ Every operation records its parents and a vjp closure on the implicit tape
 written in terms of these primitive operations, so a backward pass executed
 with ``create_graph=True`` builds a new differentiable graph - this is what
 lets the gradient-penalty loss backpropagate through an input gradient.
+The exception is a vjp that computes in plain numpy, for a layer off the
+critic's path (`nn.layers.GroupNorm`): it raises under ``create_graph=True``
+rather than return a gradient that the new graph would treat as a constant.
 
 A graph can be backpropagated once unless ``create_graph=True``: a plain
 backward pass releases each node's vjp and parents as soon as it has run,
@@ -331,8 +334,15 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x) as one node; its vjp recomputes the sigmoid from x."""
     x = _as_tensor(x)
-    return x * x.sigmoid()
+    data = x.data * (1.0 / (1.0 + np.exp(-x.data)))
+
+    def vjp(g):
+        s = x.sigmoid()
+        return (g * (s * (1.0 + x * (1.0 - s))),)
+
+    return Tensor._result(data, (x,), vjp, "silu")
 
 
 def unfold1d(x: Tensor, size: int, stride: int) -> Tensor:
@@ -379,14 +389,19 @@ def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = Fals
 
 def _fold(cols: Tensor, out_len: int, size: int, stride: int, pad: int) -> Tensor:
     """Adjoint of :func:`_unfold`: :func:`fold1d` onto ``out_len + 2*pad``
-    samples, cropped to the middle ``out_len``."""
+    samples, cropped to the middle ``out_len``. Each tap adds only the frames
+    that land inside the crop, straight into the ``out_len`` samples."""
     b, rows, frames = cols.data.shape
     taps = cols.data.reshape(b, rows // size, size, frames)
-    out = np.zeros((b, rows // size, out_len + 2 * pad))
+    out = np.zeros((b, rows // size, out_len))
     for k in range(size):
-        out[:, :, k: k + stride * (frames - 1) + 1: stride] += taps[:, :, k, :]
-    if pad:
-        out = np.ascontiguousarray(out[:, :, pad: pad + out_len])
+        # frame f lands on sample k + stride*f - pad
+        first = max(0, -((k - pad) // stride))
+        last = min(frames - 1, (out_len - 1 + pad - k) // stride)
+        if first <= last:
+            start = k + stride * first - pad
+            out[:, :, start: start + stride * (last - first) + 1: stride] += \
+                taps[:, :, k, first: last + 1]
     return Tensor._result(out, (cols,),
                           lambda g: (_unfold(g, size, stride, pad),), "fold1d")
 
@@ -427,6 +442,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     return order  # parents precede consumers
+
+
+def _first_order_only(op: str) -> None:
+    """Raise inside a numpy-level vjp when the backward pass records a graph
+    (``create_graph=True``): such a vjp's result is not differentiable."""
+    if _grad_enabled:
+        raise RuntimeError(f"{op} is differentiable once only: its vjp computes in "
+                           f"numpy, so it cannot be backpropagated with create_graph=True")
 
 
 def _released(g):

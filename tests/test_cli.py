@@ -1,7 +1,8 @@
 """Command line and strict config: a tiny curate -> train -> sample -> evaluate
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
-outputs, one read of the checkpoint per `sample`, and the config rejections and
-refused evaluations that must exit with code 2."""
+outputs, one read of the checkpoint per `sample`, chunked WGAN sampling that
+writes the bytes of one batch, and the config rejections and refused
+evaluations that must exit with code 2."""
 
 import builtins
 import hashlib
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from artifactgen import cli
 from artifactgen.cli import main
 
 GAN = {"channels": [8, 8, 8, 8], "latent_dim": 8, "batch_size": 4, "n_critic": 2, "epochs": 1}
@@ -124,6 +126,35 @@ def test_same_seed_training_is_byte_identical(curated, tmp_path, model):
         first = (tmp_path / "a" / model / name).read_bytes()
         assert first == (tmp_path / "b" / model / name).read_bytes(), name
     assert len((tmp_path / "a" / model / names[0]).read_text().splitlines()) > 1
+
+
+@pytest.fixture(scope="module")
+def default_width_gan(curated, tmp_path_factory):
+    """A WGAN checkpoint with the default generator widths and latent size."""
+    root = tmp_path_factory.mktemp("default_gan")
+    config = write_config(root / "gan.yaml", root, NORMALIZATION["gan"],
+                          gan={"channels": [128, 128, 64, 32], "latent_dim": 128})
+    assert run("train", "--config", config, "--model", "gan", "--manifest", curated["gan"][1],
+               "--out", root) == 0
+    return root / "gan" / "gan_best.ckpt"
+
+
+@pytest.mark.parametrize("num", [100, 33, 65])
+def test_chunked_wgan_sampling_matches_one_batch(default_width_gan, tmp_path, monkeypatch, num):
+    """`sample` runs the generator over chunks of about SAMPLE_CHUNK windows;
+    its window files are byte-identical to those of one batch of `num`."""
+    def sample(out):
+        return run("sample", "--checkpoint", default_width_gan, "--class", 1, "--num", num,
+                   "--seed", 5, "--out", tmp_path / out)
+
+    assert sample("chunked") == 0
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", num)
+    assert sample("whole") == 0
+    files = sorted(p.name for p in (tmp_path / "whole").glob("*.agw"))
+    assert len(files) == num
+    for name in files:
+        assert (tmp_path / "chunked" / name).read_bytes() == \
+            (tmp_path / "whole" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("model", ["gan", "ddpm"])

@@ -236,11 +236,10 @@ class TestUNet:
         block = net.mid
         x = Tensor(np.random.default_rng(0).standard_normal((2, 8, 4)))
         cond = Tensor(np.random.default_rng(1).standard_normal((2, 8)))
-        from artifactgen.nn import silu
         with no_grad():
             conditioned = block(x, cond).data
-            h = block.conv1(silu(block.norm1(x)))
-            plain = (x + block.conv2(silu(block.norm2(h)))).data
+            h = block.conv1(block.norm1(x))
+            plain = (x + block.conv2(block.norm2(h))).data
         assert np.max(np.abs(conditioned - plain)) < 1e-12
 
     def test_conditioning_changes_output_after_film_training(self):
@@ -336,9 +335,10 @@ class TestDenoiseLoss:
             assert np.allclose(analytic[name], num, rtol=1e-3, atol=1e-6), name
 
     def test_gradients_agree_with_composite_group_norm(self, monkeypatch):
-        """GroupNorm's analytic vjp moves DDPM gradients only in the last bits:
-        the loss is bit-identical and every parameter gradient agrees with the
-        elementwise-composite GroupNorm to 1e-10 relative."""
+        """GroupNorm+SiLU's folded forward and numpy vjp move the DDPM loss and
+        gradients only in the last bits: against the elementwise composite
+        (GroupNorm, then x * sigmoid(x)) the loss agrees to 1e-12 relative and
+        every parameter gradient to 1e-10."""
         net = tiny_unet()
         x0 = np.random.default_rng(3).standard_normal((2, 2, 8))
         y = np.array([0, 1])
@@ -353,7 +353,7 @@ class TestDenoiseLoss:
         fused_loss, fused = run()
         monkeypatch.setattr(GroupNorm, "forward", composite_group_norm)
         ref_loss, ref = run()
-        assert fused_loss == ref_loss
+        assert abs(fused_loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for name, a, b in zip(params, fused, ref):
             assert np.linalg.norm(a.data - b.data) <= 1e-10 * np.linalg.norm(b.data), name
 
