@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import traceback
 from datetime import datetime, timezone
@@ -46,9 +47,14 @@ SEED_ENV = "ARTIFACTGEN_SEED"
 # The normalization each model trains on, by checkpoint model name.
 MODEL_SCHEME = {"wgan": MINMAX_WINDOW, "ddpm": ZSCORE_RECORDING}
 # WGAN `sample` runs the generator on about this many windows at a time, which
-# bounds its im2col temporaries. Chunks of 16 or more give the same bits as one
-# batch; a chunk of 1 would not (BLAS takes its matrix-vector path).
+# bounds its im2col temporaries. In float32, chunks of 2 or more gave the same
+# bits as one batch of 64 (OpenBLAS 0.3.31, Haswell kernels); a chunk of 1 does
+# not, as BLAS takes its matrix-vector path. 100 default-width windows took
+# 73-94 ms in chunks of 16 to 100, against 165-200 ms in float64 (2-core VM).
 SAMPLE_CHUNK = 32
+# `sample` runs the generator and the U-Net in this dtype; they train, and
+# their checkpoints hold, float64. The DDIM update itself stays float64.
+SAMPLE_DTYPE = np.float32
 
 
 def _effective_seed(config_seed: int, cli_seed: int | None = None) -> int:
@@ -71,13 +77,17 @@ def _apply_seed(cfg: RunConfig, seed: int) -> None:
 
 def _write_run_record(out_dir: Path, command: str, cfg_hash: str, seed: int,
                       started: str) -> None:
+    finished = datetime.now(timezone.utc)
     record = {
         "command": command,
         "config_hash": cfg_hash,
         "seed": seed,
         "code_version": __version__,
         "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
+        "finished_utc": finished.isoformat(),
+        "elapsed_s": round((finished - datetime.fromisoformat(started)).total_seconds(), 3),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     with open(out_dir / "run.json", "w") as f:
         json.dump(record, f, indent=2, sort_keys=True)
@@ -193,16 +203,18 @@ def cmd_sample(args) -> int:
     model_hash = hashlib.sha256(raw).hexdigest()
     ck = load_checkpoint(raw)
     del raw
+    model, n_classes = ck.meta.get("model"), ck.meta.get("n_classes")
+    if model not in MODEL_SCHEME:
+        raise ConfigError(f"{ck_path}: unknown checkpoint model '{model}'")
+    if args.num < 1:
+        raise ConfigError(f"--num must be at least 1, got {args.num}")
+    if not 0 <= args.class_index < n_classes:
+        raise ConfigError(f"class index {args.class_index} out of range [0, {n_classes})")
     rng = np.random.default_rng(seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = ck.meta.get("model")
     if model == "wgan":
         gen, _ = load_generator(ck)
-        if not 0 <= args.class_index < gen.n_classes:
-            raise ConfigError(f"class index {args.class_index} out of range "
-                              f"[0, {gen.n_classes})")
+        gen.astype(SAMPLE_DTYPE)
         z = rng.standard_normal((args.num, gen.latent_dim))
         chunks = np.array_split(z, -(-args.num // SAMPLE_CHUNK))
         with no_grad():
@@ -210,19 +222,18 @@ def cmd_sample(args) -> int:
                 gen(zc, np.full(len(zc), args.class_index, dtype=np.int64)).data
                 for zc in chunks])
         sampler_info = {"latent_dim": gen.latent_dim}
-    elif model == "ddpm":
-        net, sched, _ = load_unet(ck, use_ema=True)
-        if not 0 <= args.class_index < net.n_classes:
-            raise ConfigError(f"class index {args.class_index} out of range "
-                              f"[0, {net.n_classes})")
+    else:
         scfg = SamplerConfig(num_steps=args.steps, guidance_scale=args.guidance)
+        net, sched, _ = load_unet(ck, use_ema=True)
+        net.astype(SAMPLE_DTYPE)
         y = np.full(args.num, args.class_index, dtype=np.int64)
         windows = sample(net, y, sched, scfg, rng)
         sampler_info = {"num_steps": scfg.num_steps, "guidance_scale": scfg.guidance_scale,
                         "deterministic": True, "ema": True}
-    else:
-        raise ConfigError(f"{ck_path}: unknown checkpoint model '{model}'")
+    sampler_info["dtype"] = np.dtype(SAMPLE_DTYPE).name
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.num):
         write_window_file(out_dir / f"w{i:06d}.agw", windows[i], args.class_index)
     with open(out_dir / "provenance.json", "w") as f:

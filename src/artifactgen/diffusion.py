@@ -192,11 +192,14 @@ class UNet1D(Module):
         y = np.asarray(y)
         if y.min() < 0 or y.max() > self.null_token:
             raise ValueError(f"label out of range [0, {self.null_token}]")
-        temb = Tensor(sinusoidal_embedding(t, self.time_dim))
+        # float64 first: sin of timesteps up to T loses digits in float32
+        temb = Tensor(sinusoidal_embedding(t, self.time_dim).astype(self.stem.weight.data.dtype))
         return self.time_fc2(silu(self.time_fc1(temb))) + self.class_emb(y)
 
     def forward(self, x: Tensor | np.ndarray, t: np.ndarray, y: np.ndarray) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
+        """Predicted noise for ``x`` at timesteps ``t`` and labels ``y``, computed
+        in the dtype of the parameters (an array ``x`` is cast to it)."""
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, self.stem.weight.data.dtype))
         if x.ndim != 3 or x.shape[1] != self.n_channels:
             raise ValueError(f"expected (B, {self.n_channels}, L), got {x.shape}")
         length = x.shape[2]

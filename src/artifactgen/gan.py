@@ -83,6 +83,8 @@ class GanTrainConfig:
             raise ValueError("lambda_gp must be >= 0")
         if self.n_critic < 1:
             raise ValueError("n_critic must be >= 1")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
         self.channels = tuple(int(c) for c in self.channels)
         if len(self.channels) != 4:
             raise ValueError("generator channel progression needs 4 entries (then C)")
@@ -107,11 +109,14 @@ class GeneratorNet(Module):
         self.head = Conv1d(ch[3], n_channels, kernel=9, stride=1, padding=4, rng=rng)
 
     def forward(self, z: Tensor | np.ndarray, y: np.ndarray) -> Tensor:
-        z = z if isinstance(z, Tensor) else Tensor(z)
+        """Windows for latents ``z`` and labels ``y``, computed in the dtype of
+        the parameters (an array ``z`` is cast to it)."""
+        dtype = self.fc.weight.data.dtype
+        z = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype))
         y = np.asarray(y)
         if y.min() < 0 or y.max() >= self.n_classes:
             raise ValueError(f"label out of range [0, {self.n_classes})")
-        onehot = np.zeros((y.shape[0], self.n_classes))
+        onehot = np.zeros((y.shape[0], self.n_classes), dtype)
         onehot[np.arange(y.shape[0]), y] = 1.0
         h = self.fc(concat([z, Tensor(onehot)], axis=1))
         h = leaky_relu(h, self.slope)

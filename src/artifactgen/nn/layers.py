@@ -4,7 +4,9 @@ linear/embedding layers, group normalization fused with SiLU, FiLM and pooling.
 Convolutions use explicit symmetric zero padding; transposed convolutions
 follow L_out = (L_in - 1) * stride + kernel - 2 * padding. Weights initialize
 uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the supplied generator, so
-construction order plus seed fully determines the parameters.
+construction order plus seed fully determines the parameters. Parameters are
+float64; `Module.astype` converts them to float32 for inference, and every
+layer then computes in float32 (the dtype rule of `nn.tensor`).
 
 Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
 only its input and parameters (GroupNorm also its per-group statistics). The
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, _first_order_only, _fold, _unbroadcast, _unfold, gather_rows,
-                     matmul, no_grad)
+from .tensor import (Tensor, _first_order_only, _fold, _sigmoid, _unbroadcast, _unfold,
+                     gather_rows, matmul, no_grad)
 
 __all__ = [
     "Module",
@@ -62,6 +64,13 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
+
+    def astype(self, dtype) -> "Module":
+        """Convert every parameter to ``dtype`` (float32 or float64) in place, so
+        that `forward` computes in it; returns the module."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+        return self
 
     def get_state(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_parameters().items()}
@@ -212,13 +221,6 @@ class Embedding(Module):
         return gather_rows(self.weight, idx)
 
 
-def _sigmoid(y: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-y)) in a single new array."""
-    s = np.exp(-y)
-    s += 1.0
-    return np.reciprocal(s, out=s)
-
-
 class GroupNorm(Module):
     """Group normalization followed by SiLU: ``silu(gamma * xhat + beta)``.
 
@@ -267,7 +269,7 @@ class GroupNorm(Module):
             # means, dgamma and dbeta come from the per-(b, c) sums over time
             # of dy and dy * x.
             _first_order_only("group_norm")
-            dy = np.empty(grouped)
+            dy = np.empty(grouped, dtype=xg.dtype)
             scale = pre_activation(dy)
             s = _sigmoid(dy)
             ys = dy * s

@@ -16,8 +16,13 @@ released graph raises. No vjp closure holds its own output node, so a tape
 that is dropped without a backward pass is freed by reference counting
 alone, and under `no_grad` no closure is stored at all.
 
-All values are float64. Piecewise-linear ops (leaky_relu, abs) use their
-almost-everywhere derivative in second-order passes.
+Values are float64 or float32. A tensor keeps a float32 array as float32 and
+stores anything else as float64, and every op computes in the dtype of its
+inputs: a Python scalar operand takes the dtype of the tensor it meets. So a
+module whose parameters are float32 runs its forward in float32 (sampling),
+while training, gradients and checkpoints stay float64. Piecewise-linear ops
+(leaky_relu, abs) use their almost-everywhere derivative in second-order
+passes.
 """
 
 from __future__ import annotations
@@ -59,12 +64,14 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array with optional derivative tracking."""
+    """A float64 or float32 array with optional derivative tracking; see the
+    module docstring for the dtype rule."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        self.data = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.grad: Tensor | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -135,7 +142,7 @@ class Tensor:
     # ---- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         data = a.data + b.data
         return Tensor._result(data, (a, b), lambda g: (
             _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)), "add")
@@ -143,16 +150,16 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         data = a.data - b.data
         return Tensor._result(data, (a, b), lambda g: (
             _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)), "sub")
 
     def __rsub__(self, other):
-        return _as_tensor(other) - self
+        return _as_tensor(other, self) - self
 
     def __mul__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         data = a.data * b.data
         return Tensor._result(data, (a, b), lambda g: (
             _unbroadcast(g * b, a.data.shape), _unbroadcast(g * a, b.data.shape)), "mul")
@@ -160,13 +167,13 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         return Tensor._result_of_output(a.data / b.data, (a, b), lambda g, out: (
             _unbroadcast(g / b, a.data.shape),
             _unbroadcast(-(g * out) / b, b.data.shape)), "div")
 
     def __rtruediv__(self, other):
-        return _as_tensor(other) / self
+        return _as_tensor(other, self) / self
 
     def __neg__(self):
         return Tensor._result(-self.data, (self,), lambda g: (-g,), "neg")
@@ -201,7 +208,7 @@ class Tensor:
                                         lambda g, out: (g * (1.0 - out * out),), "tanh")
 
     def sigmoid(self):
-        return Tensor._result_of_output(1.0 / (1.0 + np.exp(-self.data)), (self,),
+        return Tensor._result_of_output(_sigmoid(self.data), (self,),
                                         lambda g, out: (g * (out * (1.0 - out)),), "sigmoid")
 
     def abs(self):
@@ -280,8 +287,14 @@ class Tensor:
             data, (a,), lambda g: (g.narrow(axis, before, length),), "pad")
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """``x`` as a Tensor; a Python scalar meeting ``like`` takes its dtype, as a
+    weak scalar does in numpy, so a float32 operand is not promoted."""
+    if isinstance(x, Tensor):
+        return x
+    if like is not None and isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -328,15 +341,33 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    """max(x, slope * x), which is leaky ReLU for 0 <= slope <= 1 only. The vjp
+    rebuilds the slope mask from the saved input, so no mask is kept."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
     x = _as_tensor(x)
-    mask = Tensor(np.where(x.data >= 0.0, 1.0, slope))
-    return Tensor._result(x.data * mask.data, (x,), lambda g: (g * mask,), "leaky_relu")
+
+    def vjp(g):
+        mask = np.where(x.data >= 0.0, 1.0, slope).astype(x.data.dtype, copy=False)
+        return (g * Tensor(mask),)
+
+    return Tensor._result(np.maximum(x.data, slope * x.data), (x,), vjp, "leaky_relu")
+
+
+def _sigmoid(y: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-y)) in a single new array of y's dtype. exp(-y) overflows
+    to inf for y below about -88.7 in float32 (-709 in float64), which gives
+    the right limit 0, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        s = np.exp(-y)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x) as one node; its vjp recomputes the sigmoid from x."""
     x = _as_tensor(x)
-    data = x.data * (1.0 / (1.0 + np.exp(-x.data)))
+    data = x.data * _sigmoid(x.data)
 
     def vjp(g):
         s = x.sigmoid()
@@ -371,7 +402,7 @@ def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = Fals
     if size > length + 2 * pad:
         raise ValueError(f"frame size {size} exceeds length {length + 2 * pad}")
     frames = (length + 2 * pad - size) // stride + 1
-    padded = np.zeros((b, c, length + 2 * pad))
+    padded = np.zeros((b, c, length + 2 * pad), dtype=x.data.dtype)
     padded[:, :, pad: pad + length] = x.data
     sb, sc, st = padded.strides
     if time_major:
@@ -393,7 +424,7 @@ def _fold(cols: Tensor, out_len: int, size: int, stride: int, pad: int) -> Tenso
     that land inside the crop, straight into the ``out_len`` samples."""
     b, rows, frames = cols.data.shape
     taps = cols.data.reshape(b, rows // size, size, frames)
-    out = np.zeros((b, rows // size, out_len))
+    out = np.zeros((b, rows // size, out_len), dtype=cols.data.dtype)
     for k in range(size):
         # frame f lands on sample k + stride*f - pad
         first = max(0, -((k - pad) // stride))
@@ -417,7 +448,7 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def _scatter_rows(g: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    out = np.zeros((num_rows,) + g.data.shape[len(idx.shape):])
+    out = np.zeros((num_rows,) + g.data.shape[len(idx.shape):], dtype=g.data.dtype)
     np.add.at(out, idx, g.data)
     return Tensor._result(out, (g,), lambda g2: (gather_rows(g2, idx),), "scatter")
 

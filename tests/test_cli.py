@@ -1,8 +1,8 @@
 """Command line and strict config: a tiny curate -> train -> sample -> evaluate
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
-outputs, one read of the checkpoint per `sample`, chunked WGAN sampling that
-writes the bytes of one batch, and the config rejections and refused
-evaluations that must exit with code 2."""
+and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
+sampling that writes the bytes of one batch, and the config rejections,
+refused samplings and refused evaluations that must exit with code 2."""
 
 import builtins
 import hashlib
@@ -69,19 +69,57 @@ def test_end_to_end(curated, tmp_path):
                    "--fake", f"{name}={tmp_path / name}",
                    "--out", tmp_path / f"report_{name}.json") == 0
         assert (tmp_path / f"report_{name}.json").is_file()
+    for record in [tmp_path / m / "run.json" for m in fakes] + \
+            [tmp_path / n / "run.json" for n in ("wgan", "ddpm")]:
+        fields = json.loads(record.read_text())
+        assert fields["elapsed_s"] >= 0 and fields["peak_rss_mb"] > 0, record
 
 
 @pytest.fixture(scope="module")
-def sampled(curated, tmp_path_factory):
+def checkpoints(curated, tmp_path_factory):
+    """{model: best checkpoint} of each tiny trained model."""
+    root = tmp_path_factory.mktemp("trained")
+    for model in NORMALIZATION:
+        assert train(curated, model, root) == 0
+    return {model: root / model / f"{model}_best.ckpt" for model in NORMALIZATION}
+
+
+@pytest.fixture(scope="module")
+def sampled(checkpoints, tmp_path_factory):
     """Four windows from each tiny trained model: {fake name: sample directory}."""
     root = tmp_path_factory.mktemp("sampled")
     out = {}
     for model, name in (("gan", "wgan"), ("ddpm", "ddpm")):
-        assert train(curated, model, root) == 0
         out[name] = root / name
-        assert run("sample", "--checkpoint", root / model / f"{model}_best.ckpt", "--class", 0,
+        assert run("sample", "--checkpoint", checkpoints[model], "--class", 0,
                    "--num", 4, "--steps", 2, "--out", out[name]) == 0
     return out
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_same_seed_sampling_is_byte_identical(checkpoints, tmp_path, model):
+    for out in ("a", "b"):
+        assert run("sample", "--checkpoint", checkpoints[model], "--class", 2, "--num", 5,
+                   "--steps", 3, "--seed", 8, "--out", tmp_path / out) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir() if p.name != "run.json")
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+@pytest.mark.parametrize("args, message", [
+    (("--num", 0, "--class", 0), "--num must be at least 1, got 0"),
+    (("--num", -3, "--class", 0), "--num must be at least 1, got -3"),
+    (("--num", 2, "--class", 5), "class index 5 out of range [0, 5)"),
+    (("--num", 2, "--class", -1), "class index -1 out of range [0, 5)"),
+], ids=["num_0", "num_negative", "class_too_large", "class_negative"])
+def test_sample_refuses_before_it_writes(checkpoints, tmp_path, capsys, model, args, message):
+    out = tmp_path / "fake"
+    assert run("sample", "--checkpoint", checkpoints[model], *args, "--steps", 2,
+               "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("real, fake, message", [
@@ -177,6 +215,7 @@ def test_sample_reads_checkpoint_once(curated, tmp_path, monkeypatch, model):
     assert len(opened) == 1
     provenance = json.loads((tmp_path / "fake" / "provenance.json").read_text())
     assert provenance["model_hash"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert provenance["sampler"]["dtype"] == "float32"
 
 
 @pytest.mark.parametrize("model", ["gan", "ddpm"])
@@ -196,6 +235,8 @@ def test_zero_epochs_reports_zero_steps(curated, tmp_path, capsys, model):
     ({"data": {"window_secs": 1.0}}, "unknown key"),
     ({"model": {"gan": {"seed": 1}}}, "model.gan.seed"),
     ({"data": {"filtering": "raw"}}, "filtering"),
+    ({"model": {"gan": {"leaky_slope": 1.5}}}, "leaky_slope must be in [0, 1]"),
+    ({"model": {"gan": {"leaky_slope": -0.2}}}, "leaky_slope must be in [0, 1]"),
 ])
 def test_config_rejected_with_exit_code_2(tmp_path, capsys, doc, message):
     config = tmp_path / "bad.yaml"

@@ -127,6 +127,17 @@ class TestPrimitiveGradients:
         a = np.array([-2.0, -0.5, 0.3, 1.7])
         check_grads(lambda t: (leaky_relu(t[0], 0.2) ** 2).sum(), [a])
 
+    def test_leaky_relu_matches_mask_form_bit_for_bit(self):
+        x = RNG.standard_normal((64, 40)) * np.where(RNG.random((64, 40)) < 0.05, 0.0, 1.0)
+        for slope in (0.0, 0.2, 1.0):
+            want = x * np.where(x >= 0.0, 1.0, slope)
+            assert np.array_equal(leaky_relu(Tensor(x), slope).data, want)
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope must be in"):
+            leaky_relu(Tensor(np.ones(3)), slope)
+
     def test_silu(self):
         a = RNG.standard_normal((5,))
         check_grads(lambda t: silu(t[0]).sum(), [a])
