@@ -52,8 +52,10 @@ MODEL_SCHEME = {"wgan": MINMAX_WINDOW, "ddpm": ZSCORE_RECORDING}
 # not, as BLAS takes its matrix-vector path. 100 default-width windows took
 # 73-94 ms in chunks of 16 to 100, against 165-200 ms in float64 (2-core VM).
 SAMPLE_CHUNK = 32
-# `sample` runs the generator and the U-Net in this dtype; they train, and
-# their checkpoints hold, float64. The DDIM update itself stays float64.
+# `sample` runs the generator and the U-Net in this dtype. Their checkpoints
+# hold float64 weights: the GAN trains in float64, and the DDPM keeps float64
+# master weights while its U-Net computes in `diffusion.TRAIN_DTYPE`. The
+# DDIM update itself stays float64.
 SAMPLE_DTYPE = np.float32
 
 

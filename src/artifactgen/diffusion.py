@@ -11,6 +11,7 @@ conditioning token is class index K (one past the real classes).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .nn.checkpoint import Checkpoint, load_checkpoint
 from .training import fit
 
 __all__ = [
+    "TRAIN_DTYPE",
     "BetaSchedule",
     "SamplerConfig",
     "DiffusionTrainConfig",
@@ -50,6 +52,11 @@ __all__ = [
     "DiffusionTrainResult",
     "load_unet",
 ]
+
+# The dtype `train_ddpm` runs the U-Net's forward and backward in, as
+# `cli.SAMPLE_DTYPE` is the one `sample` runs the nets in. The optimizer, the
+# EMA and the checkpoints keep float64 master weights.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def denoise_loss(net, x0: np.ndarray, y: np.ndarray, sched: BetaSchedule,
         y = np.where(drop, net.null_token, y)
     x_t = q_sample(x0, t, eps, sched)
     pred = net(x_t, t, y)
-    diff = pred - Tensor(eps)
+    diff = pred - Tensor(eps.astype(pred.data.dtype, copy=False))
     return (diff * diff).sum(axis=(1, 2)).mean()
 
 
@@ -336,6 +343,13 @@ def train_ddpm(
 ) -> DiffusionTrainResult:
     """AdamW on the denoising loss with a per-step EMA of the weights.
 
+    The U-Net's forward and backward run in `TRAIN_DTYPE` on a twin of the
+    float64 net, built at the first step. Each step hands the twin's gradients,
+    upcast, to the float64 master parameters, runs AdamW and the EMA on those
+    (after Micikevicius et al. 2018), and writes the updated masters back into
+    the twin. ``result.net``, the optimizer moments, the EMA and both
+    checkpoints stay float64.
+
     Early stopping and checkpoint selection monitor the smoothed training
     denoise loss; sampling for evaluation should use the EMA weights.
     """
@@ -352,15 +366,25 @@ def train_ddpm(
     ema = EmaShadow(params, cfg.ema_decay)
 
     result = DiffusionTrainResult(net=net, ema=ema)
+    twin: UNet1D | None = None
 
     def step(batches: list[np.ndarray]) -> dict[str, float]:
+        nonlocal twin
         (idx,) = batches
-        opt.zero_grad()
-        loss = denoise_loss(net, data[idx], labels[idx], sched,
+        if twin is None:
+            twin = copy.deepcopy(net).astype(TRAIN_DTYPE)
+        twin.zero_grad()
+        loss = denoise_loss(twin, data[idx], labels[idx], sched,
                             cfg.label_dropout_prob, rng)
         backward(loss)
+        twin_params = twin.named_parameters()
+        for k, p in params.items():
+            g = twin_params[k].grad
+            p.grad = None if g is None else Tensor(g.data.astype(np.float64))
         opt.step()
         ema.update(params)
+        for k, p in params.items():
+            np.copyto(twin_params[k].data, p.data, casting="same_kind")
         return {"loss": loss.item()}
 
     def keep() -> None:
@@ -374,7 +398,7 @@ def train_ddpm(
                 "ema": result.best_ema_state or ema.state()}
 
     meta = {"model": "ddpm", "n_channels": n_ch, "length": length, "n_classes": n_classes,
-            "config": asdict(cfg)}
+            "train_dtype": np.dtype(TRAIN_DTYPE).name, "config": asdict(cfg)}
     fit("ddpm", result, n, cfg, rng, step, columns=("loss",), monitor="loss",
         optimizers={"net": opt}, keep=keep, checkpoint=checkpoint, meta=meta, out_dir=out_dir)
     return result

@@ -4,9 +4,11 @@ linear/embedding layers, group normalization fused with SiLU, FiLM and pooling.
 Convolutions use explicit symmetric zero padding; transposed convolutions
 follow L_out = (L_in - 1) * stride + kernel - 2 * padding. Weights initialize
 uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the supplied generator, so
-construction order plus seed fully determines the parameters. Parameters are
-float64; `Module.astype` converts them to float32 for inference, and every
-layer then computes in float32 (the dtype rule of `nn.tensor`).
+construction order plus seed fully determines the parameters. A layer's
+parameters are parameters whatever the grad mode it is built in. They are
+float64; `Module.astype` converts them to float32, and every layer then
+computes in float32 (the dtype rule of `nn.tensor`). Sampling runs float32
+nets, and DDPM training a float32 twin of its float64 master net.
 
 Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
 only its input and parameters (GroupNorm also its per-group statistics). The
@@ -88,22 +90,29 @@ class Module:
             p.data = arr.copy()
 
 
+def _param(data: np.ndarray) -> Tensor:
+    """A layer parameter: it requires grad whatever the grad mode it is built
+    in, so a module built under `no_grad` still has its parameters."""
+    p = Tensor(data)
+    p.requires_grad = True
+    return p
+
+
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return _param(rng.uniform(-bound, bound, size=shape))
 
 
 class Linear(Module):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  bias: bool = True, zero_init: bool = False):
         if zero_init:
-            self.weight = Tensor(np.zeros((n_in, n_out)), requires_grad=True)
+            self.weight = _param(np.zeros((n_in, n_out)))
         else:
             self.weight = _uniform_init(rng, (n_in, n_out), n_in)
         self.bias = None
         if bias:
-            init = np.zeros(n_out) if zero_init else None
-            self.bias = (Tensor(init, requires_grad=True) if init is not None
+            self.bias = (_param(np.zeros(n_out)) if zero_init
                          else _uniform_init(rng, (n_out,), n_in))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -212,7 +221,7 @@ def _batch_columns(t: Tensor) -> Tensor:
 class Embedding(Module):
     def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator):
         self.num_embeddings = num_embeddings
-        self.weight = Tensor(rng.standard_normal((num_embeddings, dim)), requires_grad=True)
+        self.weight = _param(rng.standard_normal((num_embeddings, dim)))
 
     def forward(self, idx: np.ndarray) -> Tensor:
         idx = np.asarray(idx)
@@ -233,8 +242,8 @@ class GroupNorm(Module):
         if channels % groups != 0:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
         self.groups, self.channels, self.eps = groups, channels, eps
-        self.gamma = Tensor(np.ones((1, channels, 1)), requires_grad=True)
-        self.beta = Tensor(np.zeros((1, channels, 1)), requires_grad=True)
+        self.gamma = _param(np.ones((1, channels, 1)))
+        self.beta = _param(np.zeros((1, channels, 1)))
 
     def forward(self, x: Tensor) -> Tensor:
         b, c, length = x.shape
@@ -251,15 +260,10 @@ class GroupNorm(Module):
         var = np.einsum("bgct,bgct->bg", y, y)[:, :, None, None] * (1.0 / count)
         rstd = 1.0 / np.sqrt(var + self.eps)
 
-        def pre_activation(out):
-            """gamma * xhat + beta as one per-(b, c) scale and shift, into ``out``."""
-            scale = gamma_g * rstd                                           # (B, G, C/G, 1)
-            shift = beta_g - mean * scale
-            np.multiply(xg, scale, out=out)
-            out += shift
-            return scale
-
-        pre_activation(y)
+        # gamma * xhat + beta as one per-(b, c) scale and shift, then the SiLU
+        scale = gamma_g * rstd                                           # (B, G, C/G, 1)
+        np.multiply(xg, scale, out=y)
+        y += beta_g - mean * scale
         y *= _sigmoid(y)
 
         def vjp(g):
@@ -267,10 +271,15 @@ class GroupNorm(Module):
             # dy = g * s * (1 + y * (1 - s)). Per group, with dxhat = dy * gamma,
             # dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)); both
             # means, dgamma and dbeta come from the per-(b, c) sums over time
-            # of dy and dy * x.
+            # of dy and dy * xc. The vjp works from xc = x - mean, centred a
+            # second time by its own mean, which removes the forward mean's
+            # rounding error (about eps * |mean|). Uncentred, those terms
+            # cancel and lose digits in proportion to |mean| / std.
             _first_order_only("group_norm")
-            dy = np.empty(grouped, dtype=xg.dtype)
-            scale = pre_activation(dy)
+            xc = xg - mean
+            xc -= xc.mean(axis=(2, 3), keepdims=True)
+            dy = xc * scale
+            dy += beta_g
             s = _sigmoid(dy)
             ys = dy * s
             dy -= ys
@@ -278,17 +287,16 @@ class GroupNorm(Module):
             dy *= s
             dy *= g.data.reshape(grouped)
             dy_sum = dy.sum(axis=3, keepdims=True)                          # (B, G, C/G, 1)
-            dyx_sum = np.einsum("bgct,bgct->bgc", dy, xg)[..., None]
-            dy_xhat_sum = (dyx_sum - mean * dy_sum) * rstd
+            dy_xhat_sum = np.einsum("bgct,bgct->bgc", dy, xc)[..., None] * rstd
             dgamma = dy_xhat_sum.sum(axis=0).reshape(gamma.shape)
             dbeta = dy_sum.sum(axis=0).reshape(beta.shape)
             dx = None
             if x.requires_grad:
                 m1 = (dy_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
                 m2 = (dy_xhat_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
-                # dx = scale * dy - rstd^2 * m2 * x + rstd * (rstd * m2 * mean - m1)
-                np.multiply(xg, -(rstd * rstd * m2), out=ys)
-                ys += rstd * (rstd * m2 * mean - m1)
+                # dx = scale * dy - rstd^2 * m2 * (x - mean) - rstd * m1
+                np.multiply(xc, -(rstd * rstd * m2), out=ys)
+                ys -= rstd * m1
                 dy *= scale
                 dy += ys
                 dx = Tensor(dy.reshape(b, c, length))

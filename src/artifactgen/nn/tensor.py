@@ -19,10 +19,10 @@ alone, and under `no_grad` no closure is stored at all.
 Values are float64 or float32. A tensor keeps a float32 array as float32 and
 stores anything else as float64, and every op computes in the dtype of its
 inputs: a Python scalar operand takes the dtype of the tensor it meets. So a
-module whose parameters are float32 runs its forward in float32 (sampling),
-while training, gradients and checkpoints stay float64. Piecewise-linear ops
-(leaky_relu, abs) use their almost-everywhere derivative in second-order
-passes.
+module whose parameters are float32 runs its forward and backward in float32
+(sampling, and the DDPM's training twin), while optimizer state and
+checkpoints stay float64. Piecewise-linear ops (leaky_relu, abs) use their
+almost-everywhere derivative in second-order passes.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ class Tensor:
             ref = weakref.ref(out)
             out._vjp = lambda g: vjp(g, ref())
         return out
-
-    def requires_grad_(self, flag: bool = True) -> "Tensor":
-        if self._vjp is not None:
-            raise ValueError("only leaf tensors can change requires_grad")
-        self.requires_grad = bool(flag)
-        return self
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)

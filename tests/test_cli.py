@@ -17,6 +17,7 @@ import yaml
 
 from artifactgen import cli
 from artifactgen.cli import main
+from artifactgen.nn import load_checkpoint
 
 GAN = {"channels": [8, 8, 8, 8], "latent_dim": 8, "batch_size": 4, "n_critic": 2, "epochs": 1}
 DDPM = {"widths": [8, 8, 8], "cond_dim": 8, "time_dim": 8, "batch_size": 4, "epochs": 1}
@@ -164,6 +165,10 @@ def test_same_seed_training_is_byte_identical(curated, tmp_path, model):
         first = (tmp_path / "a" / model / name).read_bytes()
         assert first == (tmp_path / "b" / model / name).read_bytes(), name
     assert len((tmp_path / "a" / model / names[0]).read_text().splitlines()) > 1
+    # a DDPM checkpoint says which dtype its U-Net trained in; the GAN trains in float64
+    for name in names[1:]:
+        meta = load_checkpoint(tmp_path / "a" / model / name).meta
+        assert meta.get("train_dtype") == {"ddpm": "float32", "gan": None}[model], name
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Float32 inference.
+"""Float32 inference and float32 DDPM training.
 
 The dtype rule: with float32 inputs and float32 parameters every primitive
 and layer returns float32, and so do the U-Net and the generator end to end
@@ -7,8 +7,14 @@ which runs both nets in float32, stays within stated tolerances of a float64
 reference of the same checkpoint, and so does `compute_report` on the two
 sample sets. A float32 U-Net in `diffusion.sample` equals the hand-written
 DDIM step bit for bit, because both call the same forward.
+
+`train_ddpm` runs the U-Net on a float32 twin of its float64 master net: the
+twin's gradients stay float32, agree with float64 ones within stated
+tolerances, and a short run follows a float64 run's loss curve and EMA. The
+GroupNorm vjp keeps float32 digits when |mean| / std is large.
 """
 
+import copy
 import json
 import warnings
 
@@ -27,16 +33,27 @@ from artifactgen.nn import (
     Tensor,
     concat,
     film,
+    grad,
     leaky_relu,
     no_grad,
     silu,
 )
+from test_layers import composite_group_norm
 
 # Tolerances of float32 sampling against float64, from the dtype's epsilon
 # (1.2e-7) grown through a few dozen layers and DDIM steps.
 DDPM_RTOL = 1e-5        # max |x32 - x64| over max |x64|
 WGAN_ATOL = 1e-6        # max |x32 - x64|, windows in [-1, 1]
 REPORT_RTOL, REPORT_ATOL = 1e-4, 1e-6
+# Float32 training against float64, relative by norm. Measured: worst tensor
+# 8.4e-7 (enc2.conv1.weight), all parameters 2.8e-7, loss 1.7e-8 for the
+# gradients; loss curve 1.1e-7 max and final EMA 3.8e-8 for the 12-step run.
+GRAD_TENSOR_RTOL, GRAD_RTOL, LOSS_RTOL = 5e-6, 1e-6, 1e-7
+CURVE_RTOL, EMA_RTOL = 1e-6, 5e-7
+# The GroupNorm vjp in float32 against the float64 composite, relative by
+# norm; measured at most 2.1e-7 for |mean| / std of 0, 1e1 and 1e3 (2.2e-4
+# at 1e3 with the uncentred sums).
+GROUP_NORM_RTOL = 1e-6
 
 
 def _x(rng, dt, *shape):
@@ -259,3 +276,126 @@ def test_report_on_float32_samples_within_tolerance(checkpoints, tmp_path, monke
             (key, g[key], w[key])
     for key in (f"knn_recovery_{name}", f"one_nn_acc_{name}"):
         assert got.metrics[key] == want.metrics[key], key
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(np.asarray(a, np.float64) - b) / np.linalg.norm(b))
+
+
+def _rel_all(got: dict, want: dict) -> float:
+    """Relative distance by norm over all tensors of two states."""
+    num = sum(np.sum((np.asarray(got[k], np.float64) - want[k]) ** 2) for k in want)
+    return float(np.sqrt(num / sum(np.sum(want[k] ** 2) for k in want)))
+
+
+# ---- GroupNorm's vjp in float32 at large |mean| / std ------------------------
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e1, 1e3])
+def test_group_norm_float32_gradients_at_large_mean(ratio):
+    """Input, gamma and beta gradients of a float32 GroupNorm+SiLU agree with
+    the float64 composite on the same values, though |mean| / std is large."""
+    rng = np.random.default_rng(6)
+    x = ((rng.standard_normal((4, 8, 50)) + ratio) * 0.7).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, (1, 8, 1)).astype(np.float32)
+    beta = rng.standard_normal((1, 8, 1)).astype(np.float32)
+    w = rng.standard_normal(x.shape).astype(np.float32)
+    grads = []
+    for dt, forward in ((np.float32, None), (np.float64, composite_group_norm)):
+        gn = GroupNorm(2, 8).astype(dt)
+        gn.gamma.data, gn.beta.data = gamma.astype(dt), beta.astype(dt)
+        xt = Tensor(x.astype(dt), requires_grad=True)
+        out = forward(gn, xt) if forward else gn(xt)
+        grads.append(grad((out * Tensor(w.astype(dt))).sum(), [xt, gn.gamma, gn.beta]))
+    for name, got, want in zip(("x", "gamma", "beta"), *grads):
+        assert got.data.dtype == np.float32
+        assert _rel(got.data, want.data) <= GROUP_NORM_RTOL, name
+
+
+# ---- train_ddpm: a float32 twin against float64 master weights ---------------
+
+
+def _train_data(n, length, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 8, length)), rng.integers(0, 5, n)
+
+
+def test_twin_gradients_stay_float32(monkeypatch):
+    """After one step the twin holds float32 parameters and gradients, and
+    the master net float64 ones: a silent upcast would halve the gain."""
+    nets = []
+    real_loss = diffusion.denoise_loss
+
+    def recording_loss(net, *args):
+        nets.append(net)
+        return real_loss(net, *args)
+
+    monkeypatch.setattr(diffusion, "denoise_loss", recording_loss)
+    data, labels = _train_data(4, 24)
+    cfg = diffusion.DiffusionTrainConfig(widths=(8, 16, 16), cond_dim=8, time_dim=8,
+                                         groups=4, batch_size=4, epochs=1)
+    result = diffusion.train_ddpm(data, labels, 5, cfg)
+    (twin,) = nets
+    assert twin is not result.net
+    twin_params, params = twin.named_parameters(), result.net.named_parameters()
+    assert twin_params.keys() == params.keys()
+    for k, p in twin_params.items():
+        assert p.data.dtype == p.grad.data.dtype == np.float32, k
+        assert params[k].data.dtype == params[k].grad.data.dtype == np.float64, k
+        assert np.array_equal(p.data, params[k].data.astype(np.float32)), k
+    assert all(v.dtype == np.float64 for v in result.ema.shadow.values())
+
+
+def test_twin_gradients_agree_with_float64():
+    """At default widths, B=16, with perturbed parameters (off the
+    zero-initialised FiLM path), the float32 twin's loss and gradients agree
+    with the float64 net's."""
+    rng = np.random.default_rng(0)
+    net = diffusion.UNet1D(8, 5, rng=rng)
+    for p in net.parameters():
+        p.data = p.data + 0.02 * rng.standard_normal(p.data.shape)
+    x0, y = rng.standard_normal((16, 8, 250)), rng.integers(0, 5, 16)
+    sched = diffusion.BetaSchedule.linear()
+    runs = []
+    for dt in (np.float32, np.float64):
+        m = copy.deepcopy(net).astype(dt)
+        params = m.named_parameters()
+        loss = diffusion.denoise_loss(m, x0, y, sched, 0.1, np.random.default_rng(1))
+        grads = grad(loss, list(params.values()))
+        runs.append((loss.item(), {k: g.data for k, g in zip(params, grads)}))
+    (loss32, g32), (loss64, g64) = runs
+    assert abs(loss32 - loss64) <= LOSS_RTOL * abs(loss64)
+    for k in g64:
+        assert g32[k].dtype == np.float32
+        assert _rel(g32[k], g64[k]) <= GRAD_TENSOR_RTOL, k
+    assert _rel_all(g32, g64) <= GRAD_RTOL
+
+
+def test_short_run_agrees_with_float64_training(monkeypatch):
+    """12 steps (64 windows, B=16, 3 epochs) on the float32 twin follow a run
+    whose twin is float64, which is plain float64 training: the loss curve and
+    the final EMA agree within stated tolerances."""
+    data, labels = _train_data(64, 64)
+    # a short EMA horizon, so that 12 steps move the EMA away from the init
+    cfg = diffusion.DiffusionTrainConfig(widths=(16, 32, 32), batch_size=16, epochs=3,
+                                         seed=7, ema_decay=0.9)
+    got = diffusion.train_ddpm(data, labels, 5, cfg)
+    monkeypatch.setattr(diffusion, "TRAIN_DTYPE", np.float64)
+    want = diffusion.train_ddpm(data, labels, 5, cfg)
+    curve = [np.array([row["loss"] for row in r.history]) for r in (got, want)]
+    assert len(curve[0]) == len(curve[1]) == 12
+    assert np.max(np.abs(curve[0] - curve[1]) / np.abs(curve[1])) <= CURVE_RTOL
+    assert _rel_all(got.ema.state(), want.ema.state()) <= EMA_RTOL
+    assert not np.array_equal(curve[0], curve[1])     # the first run was float32
+
+
+def test_zero_epochs_builds_no_twin(monkeypatch):
+    def no_twin(*args):
+        raise AssertionError("a run without steps built a twin")
+
+    monkeypatch.setattr(diffusion.UNet1D, "astype", no_twin)
+    data, labels = _train_data(4, 24)
+    cfg = diffusion.DiffusionTrainConfig(widths=(8, 16, 16), cond_dim=8, time_dim=8,
+                                         groups=4, batch_size=4, epochs=0)
+    result = diffusion.train_ddpm(data, labels, 5, cfg)
+    assert result.history == []

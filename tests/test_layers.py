@@ -208,6 +208,18 @@ class TestModuleStateRoundTrip:
         x = Tensor(RNG.standard_normal((2, 4)))
         assert np.array_equal(lin(x).data, lin2(x).data)
 
+    def test_module_built_under_no_grad_has_its_parameters(self):
+        """Parameterhood is decided at construction, whatever the grad mode:
+        a Conv1d built inside `no_grad` has its weight and bias, and `astype`
+        converts them."""
+        with no_grad():
+            conv = Conv1d(4, 6, 3, 1, 1, np.random.default_rng(0))
+        assert sorted(conv.named_parameters()) == ["bias", "weight"]
+        conv.astype(np.float32)
+        assert conv.weight.data.dtype == conv.bias.data.dtype == np.float32
+        assert conv(Tensor(RNG.standard_normal((2, 4, 10)).astype(np.float32))).data.dtype \
+            == np.float32
+
     def test_load_state_shape_mismatch(self):
         lin = Linear(4, 3, RNG)
         state = lin.get_state()
