@@ -11,7 +11,6 @@ conditioning token is class index K (one past the real classes).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -34,10 +33,9 @@ from .nn import (
     silu,
 )
 from .nn.checkpoint import Checkpoint, load_checkpoint
-from .training import fit
+from .training import TRAIN_DTYPE, Twin, fit
 
 __all__ = [
-    "TRAIN_DTYPE",
     "BetaSchedule",
     "SamplerConfig",
     "DiffusionTrainConfig",
@@ -52,12 +50,6 @@ __all__ = [
     "DiffusionTrainResult",
     "load_unet",
 ]
-
-# The dtype `train_ddpm` runs the U-Net's forward and backward in, as
-# `cli.SAMPLE_DTYPE` is the one `sample` runs the nets in. The optimizer, the
-# EMA and the checkpoints keep float64 master weights.
-TRAIN_DTYPE = np.float32
-
 
 @dataclass(frozen=True)
 class BetaSchedule:
@@ -343,11 +335,9 @@ def train_ddpm(
 ) -> DiffusionTrainResult:
     """AdamW on the denoising loss with a per-step EMA of the weights.
 
-    The U-Net's forward and backward run in `TRAIN_DTYPE` on a twin of the
-    float64 net, built at the first step. Each step hands the twin's gradients,
-    upcast, to the float64 master parameters, runs AdamW and the EMA on those
-    (after Micikevicius et al. 2018), and writes the updated masters back into
-    the twin. ``result.net``, the optimizer moments, the EMA and both
+    The U-Net's forward and backward run in `training.TRAIN_DTYPE` on a
+    `training.Twin` of the float64 net; AdamW and the EMA run on the float64
+    masters. ``result.net``, the optimizer moments, the EMA and both
     checkpoints stay float64.
 
     Early stopping and checkpoint selection monitor the smoothed training
@@ -366,25 +356,16 @@ def train_ddpm(
     ema = EmaShadow(params, cfg.ema_decay)
 
     result = DiffusionTrainResult(net=net, ema=ema)
-    twin: UNet1D | None = None
+    twin = Twin(net)
 
     def step(batches: list[np.ndarray]) -> dict[str, float]:
-        nonlocal twin
         (idx,) = batches
-        if twin is None:
-            twin = copy.deepcopy(net).astype(TRAIN_DTYPE)
-        twin.zero_grad()
-        loss = denoise_loss(twin, data[idx], labels[idx], sched,
+        net32 = twin.module
+        net32.zero_grad()
+        loss = denoise_loss(net32, data[idx], labels[idx], sched,
                             cfg.label_dropout_prob, rng)
         backward(loss)
-        twin_params = twin.named_parameters()
-        for k, p in params.items():
-            g = twin_params[k].grad
-            p.grad = None if g is None else Tensor(g.data.astype(np.float64))
-        opt.step()
-        ema.update(params)
-        for k, p in params.items():
-            np.copyto(twin_params[k].data, p.data, casting="same_kind")
+        twin.update(opt.step, lambda: ema.update(params))
         return {"loss": loss.item()}
 
     def keep() -> None:

@@ -1,19 +1,27 @@
 """The training loop both models share: a seeded permutation per epoch, the
 divergence check, best tracking on the smoothed monitored loss, early
-stopping, and the loss CSV with the last and best checkpoints."""
+stopping, and the loss CSV with the last and best checkpoints; and the
+`TRAIN_DTYPE` twin both models compute on while their float64 master weights
+take the optimizer steps."""
 
 from __future__ import annotations
 
+import copy
 import csv
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .nn import Adam, save_checkpoint
+from .nn import Adam, Module, Tensor, save_checkpoint
 from .nn.checkpoint import atomic_open
 
-__all__ = ["TrainingDiverged", "fit"]
+__all__ = ["TRAIN_DTYPE", "TrainingDiverged", "Twin", "fit"]
+
+# The dtype both trainers run their nets' forward and backward in, as
+# `cli.SAMPLE_DTYPE` is the one `sample` runs the nets in. The optimizers, the
+# EMA and the checkpoints keep float64 master weights.
+TRAIN_DTYPE = np.float32
 
 
 class TrainingDiverged(RuntimeError):
@@ -22,6 +30,38 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, snapshot: dict):
         super().__init__(f"non-finite loss at step {snapshot.get('step')}: {snapshot}")
         self.snapshot = snapshot
+
+
+class Twin:
+    """A `TRAIN_DTYPE` copy of a float64 master module, after Micikevicius et
+    al. 2018: the forward and backward passes run on the twin, and the
+    optimizer steps on the master.
+
+    `module` builds the copy at its first use, so a run without steps builds
+    none. `update` hands the twin's gradients, upcast, to the masters, runs the
+    given updates on them and writes the results back into the twin's arrays
+    in place (the bits of ``astype(TRAIN_DTYPE)``).
+    """
+
+    def __init__(self, master: Module):
+        self.master = master
+        self._module: Module | None = None
+
+    @property
+    def module(self) -> Module:
+        if self._module is None:
+            self._module = copy.deepcopy(self.master).astype(TRAIN_DTYPE)
+            twin = self._module.named_parameters()
+            self._pairs = [(p, twin[k]) for k, p in self.master.named_parameters().items()]
+        return self._module
+
+    def update(self, *updates: Callable[[], None]) -> None:
+        for p, q in self._pairs:
+            p.grad = None if q.grad is None else Tensor(q.grad.data.astype(np.float64))
+        for run in updates:
+            run()
+        for p, q in self._pairs:
+            np.copyto(q.data, p.data, casting="same_kind")
 
 
 def fit(model: str, result, n: int, cfg, rng: np.random.Generator,

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import yaml
 
-from artifactgen import cli, diffusion, gan, metrics
+from artifactgen import cli, diffusion, gan, metrics, training
 from artifactgen.manifest import Manifest, load_window_set, read_window_file
 from artifactgen.nn import (
     Conv1d,
@@ -380,7 +380,7 @@ def test_short_run_agrees_with_float64_training(monkeypatch):
     cfg = diffusion.DiffusionTrainConfig(widths=(16, 32, 32), batch_size=16, epochs=3,
                                          seed=7, ema_decay=0.9)
     got = diffusion.train_ddpm(data, labels, 5, cfg)
-    monkeypatch.setattr(diffusion, "TRAIN_DTYPE", np.float64)
+    monkeypatch.setattr(training, "TRAIN_DTYPE", np.float64)
     want = diffusion.train_ddpm(data, labels, 5, cfg)
     curve = [np.array([row["loss"] for row in r.history]) for r in (got, want)]
     assert len(curve[0]) == len(curve[1]) == 12
