@@ -53,9 +53,8 @@ MODEL_SCHEME = {"wgan": MINMAX_WINDOW, "ddpm": ZSCORE_RECORDING}
 # 73-94 ms in chunks of 16 to 100, against 165-200 ms in float64 (2-core VM).
 SAMPLE_CHUNK = 32
 # `sample` runs the generator and the U-Net in this dtype. Their checkpoints
-# hold float64 weights: the GAN trains in float64, and the DDPM keeps float64
-# master weights while its U-Net computes in `diffusion.TRAIN_DTYPE`. The
-# DDIM update itself stays float64.
+# hold float64 weights: both trainers keep float64 master weights while their
+# nets compute in `training.TRAIN_DTYPE`. The DDIM update itself stays float64.
 SAMPLE_DTYPE = np.float32
 
 

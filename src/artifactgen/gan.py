@@ -12,6 +12,10 @@ Architecture (canonical L = 250, scaled widths allowed):
 
 The stride-2 layers use an even kernel (8) so the transposed-conv length
 formula (L_in - 1) * stride + kernel - 2 * pad lands on integers.
+
+Both nets take an array input in the dtype of their parameters. Training runs
+them on float32 twins of float64 master nets (`training.Twin`), the gradient
+penalty's double backward included; sampling runs the generator in float32.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .nn import (
     unfold1d,
 )
 from .nn.checkpoint import Checkpoint, load_checkpoint
-from .training import fit
+from .training import TRAIN_DTYPE, Twin, fit
 
 __all__ = [
     "GanTrainConfig",
@@ -164,7 +168,9 @@ class ProjectionCritic(Module):
         return global_avg_pool1d(h)
 
     def forward(self, x: Tensor | np.ndarray, y: np.ndarray) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
+        """Scores of windows ``x`` with labels ``y``, computed in the dtype of
+        the parameters (an array ``x`` is cast to it)."""
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, self.conv1.weight.data.dtype))
         phi = self.features(x)
         base = self.head(phi).reshape((-1,))
         proj = (phi * self.embed(np.asarray(y))).sum(axis=1)
@@ -185,14 +191,18 @@ def gradient_penalty(critic, x_real: np.ndarray, x_fake: np.ndarray,
 
     One interpolation coefficient per sample; the gradient norm runs over all
     input coordinates of that sample. Differentiable w.r.t. critic parameters
-    (double backprop through the critic).
+    (double backprop through the critic). The interpolates are drawn in
+    float64 and cast to the dtype of ``x_fake`` (float32 or float64), which
+    the critic computes in.
     """
+    dtype = np.result_type(x_fake, np.float32)
     x_real = np.asarray(x_real, dtype=np.float64)
     x_fake = np.asarray(x_fake, dtype=np.float64)
     if x_real.shape != x_fake.shape:
         raise ValueError(f"shape mismatch {x_real.shape} vs {x_fake.shape}")
     alpha = rng.uniform(size=(x_real.shape[0],) + (1,) * (x_real.ndim - 1))
-    xhat = Tensor(alpha * x_real + (1.0 - alpha) * x_fake, requires_grad=True)
+    xhat = Tensor((alpha * x_real + (1.0 - alpha) * x_fake).astype(dtype, copy=False),
+                  requires_grad=True)
     total = critic(xhat, y).sum()
     (gx,) = grad(total, [xhat], create_graph=True)
     axes = tuple(range(1, x_real.ndim))
@@ -200,25 +210,28 @@ def gradient_penalty(critic, x_real: np.ndarray, x_fake: np.ndarray,
     return ((norms - 1.0) ** 2).mean() * lam
 
 
-_DFT_CACHE: dict[int, tuple[Tensor, Tensor]] = {}
+_DFT_CACHE: dict[tuple[int, np.dtype], tuple[Tensor, Tensor, Tensor]] = {}
 
 
-def _dft_matrices(nfft: int) -> tuple[Tensor, Tensor]:
-    if nfft not in _DFT_CACHE:
+def _dft_matrices(nfft: int, dtype) -> tuple[Tensor, Tensor, Tensor]:
+    """The Hann window and the real-DFT cosine and sine matrices, in ``dtype``."""
+    key = (nfft, np.dtype(dtype))
+    if key not in _DFT_CACHE:
         n = np.arange(nfft)[:, None]
         k = np.arange(nfft // 2 + 1)[None, :]
         ang = 2.0 * np.pi * n * k / nfft
-        _DFT_CACHE[nfft] = (Tensor(np.cos(ang)), Tensor(-np.sin(ang)))
-    return _DFT_CACHE[nfft]
+        win = (0.5 - 0.5 * np.cos(2.0 * np.pi * n / nfft))[None]
+        _DFT_CACHE[key] = tuple(Tensor(m.astype(dtype)) for m in (win, np.cos(ang), -np.sin(ang)))
+    return _DFT_CACHE[key]
 
 
 def _stft_mag(x: Tensor, nfft: int, hop: int) -> Tensor:
-    """Differentiable Hann STFT magnitude matching dsp.stft_magnitude."""
+    """Differentiable Hann STFT magnitude matching dsp.stft_magnitude, in the
+    dtype of ``x``."""
     b, c, length = x.shape
     frames = unfold1d(x.reshape((b * c, 1, length)), nfft, hop)   # (B*C, nfft, F)
-    win = Tensor((0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nfft) / nfft))[None, :, None])
+    win, cos_m, sin_m = _dft_matrices(nfft, x.data.dtype)
     ft = (frames * win).swapaxes(1, 2)                            # (B*C, F, nfft)
-    cos_m, sin_m = _dft_matrices(nfft)
     re = matmul(ft, cos_m)
     im = matmul(ft, sin_m)
     return (re * re + im * im + 1e-24).sqrt()
@@ -257,6 +270,11 @@ def train_wgan(
     (plus the optional spectral term). Losses are logged per step; the best
     checkpoint is the lowest smoothed absolute generator loss. The batch is
     ``min(batch_size, n // n_critic)``, so any ``n >= n_critic`` fills a step.
+
+    Every forward and backward pass runs in `training.TRAIN_DTYPE` on a
+    `training.Twin` of each net; each Adam step runs on the float64 masters.
+    ``result.generator``, ``result.critic``, both optimizer states,
+    ``best_generator_state`` and both checkpoints stay float64.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -274,41 +292,43 @@ def train_wgan(
     if n < cfg.n_critic:
         raise ValueError(f"{n} windows cannot fill the n_critic={cfg.n_critic} batches "
                          f"of a generator step")
+    gen_twin, critic_twin = Twin(gen), Twin(critic)
 
     def step(batches: list[np.ndarray]) -> dict[str, float]:
+        gen32, critic32 = gen_twin.module, critic_twin.module
         d_losses, gps = [], []
         for idx in batches:
             x_real, y = data[idx], labels[idx]
             z = rng.standard_normal((len(idx), cfg.latent_dim))
             with no_grad():
-                x_fake = gen(z, y).data
-            opt_d.zero_grad()
-            d_loss = critic(Tensor(x_fake), y).mean() - critic(Tensor(x_real), y).mean()
+                x_fake = gen32(z, y).data
+            critic32.zero_grad()
+            d_loss = critic32(x_fake, y).mean() - critic32(x_real, y).mean()
             if cfg.lambda_gp > 0:
-                gp = gradient_penalty(critic, x_real, x_fake, y, cfg.lambda_gp, rng)
+                gp = gradient_penalty(critic32, x_real, x_fake, y, cfg.lambda_gp, rng)
                 d_total = d_loss + gp
                 gps.append(gp.item())
             else:
                 d_total = d_loss
                 gps.append(0.0)
             backward(d_total)
-            opt_d.step()
+            critic_twin.update(opt_d.step)
             d_losses.append(d_total.item())
 
         # generator update on a fresh latent batch; reuse last real batch
         # for labels and the optional spectral reference
         z = rng.standard_normal((len(idx), cfg.latent_dim))
-        opt_g.zero_grad()
-        x_fake_t = gen(z, y)
-        g_loss = -critic(x_fake_t, y).mean()
+        gen32.zero_grad()
+        x_fake_t = gen32(z, y)
+        g_loss = -critic32(x_fake_t, y).mean()
         spec_val = 0.0
         if cfg.spectral_loss_weight > 0:
-            spec = spectral_l1(Tensor(x_real), x_fake_t,
+            spec = spectral_l1(Tensor(x_real.astype(x_fake_t.data.dtype)), x_fake_t,
                                cfg.spectral_nfft, cfg.spectral_hop)
             g_loss = g_loss + cfg.spectral_loss_weight * spec
             spec_val = spec.item()
         backward(g_loss)
-        opt_g.step()
+        gen_twin.update(opt_g.step)
         return {"d_loss": float(np.mean(d_losses)), "g_loss": g_loss.item(),
                 "gp": float(np.mean(gps)), "spectral": spec_val}
 
@@ -326,7 +346,7 @@ def train_wgan(
         return {"params": params}
 
     meta = {"model": "wgan", "n_channels": n_ch, "length": length, "n_classes": n_classes,
-            "config": asdict(cfg)}
+            "train_dtype": np.dtype(TRAIN_DTYPE).name, "config": asdict(cfg)}
     fit("gan", result, n, cfg, rng, step, columns=("d_loss", "g_loss", "gp", "spectral"),
         monitor="g_loss", optimizers={"generator": opt_g, "critic": opt_d}, keep=keep,
         checkpoint=checkpoint, meta=meta, out_dir=out_dir, batches_per_step=cfg.n_critic)

@@ -8,7 +8,7 @@ construction order plus seed fully determines the parameters. A layer's
 parameters are parameters whatever the grad mode it is built in. They are
 float64; `Module.astype` converts them to float32, and every layer then
 computes in float32 (the dtype rule of `nn.tensor`). Sampling runs float32
-nets, and DDPM training a float32 twin of its float64 master net.
+nets, and training float32 twins of the float64 master nets.
 
 Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
 only its input and parameters (GroupNorm also its per-group statistics). The
@@ -256,14 +256,18 @@ class GroupNorm(Module):
         beta_g = beta.data.reshape(grouped[1:3] + (1,))
         xg = x.data.reshape(grouped)
         mean = xg.mean(axis=(2, 3), keepdims=True)                       # (B, G, 1, 1)
+        # x - mean, centred a second time by its own mean, which removes the
+        # rounding error of the mean (about eps * |mean|); folded into one
+        # shift, that error would cost digits in proportion to |mean| / std
         y = xg - mean
+        y -= y.mean(axis=(2, 3), keepdims=True)
         var = np.einsum("bgct,bgct->bg", y, y)[:, :, None, None] * (1.0 / count)
         rstd = 1.0 / np.sqrt(var + self.eps)
 
-        # gamma * xhat + beta as one per-(b, c) scale and shift, then the SiLU
+        # gamma * xhat + beta as one per-(b, c) scale and a shift, then the SiLU
         scale = gamma_g * rstd                                           # (B, G, C/G, 1)
-        np.multiply(xg, scale, out=y)
-        y += beta_g - mean * scale
+        y *= scale
+        y += beta_g
         y *= _sigmoid(y)
 
         def vjp(g):
@@ -271,10 +275,9 @@ class GroupNorm(Module):
             # dy = g * s * (1 + y * (1 - s)). Per group, with dxhat = dy * gamma,
             # dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)); both
             # means, dgamma and dbeta come from the per-(b, c) sums over time
-            # of dy and dy * xc. The vjp works from xc = x - mean, centred a
-            # second time by its own mean, which removes the forward mean's
-            # rounding error (about eps * |mean|). Uncentred, those terms
-            # cancel and lose digits in proportion to |mean| / std.
+            # of dy and dy * xc. The vjp works from the forward's twice-centred
+            # xc; uncentred, those terms cancel and lose digits in proportion
+            # to |mean| / std.
             _first_order_only("group_norm")
             xc = xg - mean
             xc -= xc.mean(axis=(2, 3), keepdims=True)

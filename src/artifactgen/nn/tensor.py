@@ -20,8 +20,8 @@ Values are float64 or float32. A tensor keeps a float32 array as float32 and
 stores anything else as float64, and every op computes in the dtype of its
 inputs: a Python scalar operand takes the dtype of the tensor it meets. So a
 module whose parameters are float32 runs its forward and backward in float32
-(sampling, and the DDPM's training twin), while optimizer state and
-checkpoints stay float64. Piecewise-linear ops (leaky_relu, abs) use their
+(sampling, and the training twins), while optimizer state and checkpoints
+stay float64. Piecewise-linear ops (leaky_relu, abs) use their
 almost-everywhere derivative in second-order passes.
 """
 

@@ -165,10 +165,9 @@ def test_same_seed_training_is_byte_identical(curated, tmp_path, model):
         first = (tmp_path / "a" / model / name).read_bytes()
         assert first == (tmp_path / "b" / model / name).read_bytes(), name
     assert len((tmp_path / "a" / model / names[0]).read_text().splitlines()) > 1
-    # a DDPM checkpoint says which dtype its U-Net trained in; the GAN trains in float64
+    # a checkpoint says which dtype its nets trained in
     for name in names[1:]:
-        meta = load_checkpoint(tmp_path / "a" / model / name).meta
-        assert meta.get("train_dtype") == {"ddpm": "float32", "gan": None}[model], name
+        assert load_checkpoint(tmp_path / "a" / model / name).meta["train_dtype"] == "float32"
 
 
 @pytest.fixture(scope="module")

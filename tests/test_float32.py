@@ -1,4 +1,4 @@
-"""Float32 inference and float32 DDPM training.
+"""Float32 inference and float32 training.
 
 The dtype rule: with float32 inputs and float32 parameters every primitive
 and layer returns float32, and so do the U-Net and the generator end to end
@@ -8,10 +8,11 @@ reference of the same checkpoint, and so does `compute_report` on the two
 sample sets. A float32 U-Net in `diffusion.sample` equals the hand-written
 DDIM step bit for bit, because both call the same forward.
 
-`train_ddpm` runs the U-Net on a float32 twin of its float64 master net: the
-twin's gradients stay float32, agree with float64 ones within stated
-tolerances, and a short run follows a float64 run's loss curve and EMA. The
-GroupNorm vjp keeps float32 digits when |mean| / std is large.
+`train_ddpm` and `train_wgan` run their nets on float32 twins of their
+float64 master nets: the twins' gradients stay float32, agree with float64
+ones within stated tolerances, and a short run follows a float64 run's loss
+curve and weights. The GroupNorm forward and vjp keep float32 digits when
+|mean| / std is large.
 """
 
 import copy
@@ -50,9 +51,16 @@ REPORT_RTOL, REPORT_ATOL = 1e-4, 1e-6
 # gradients; loss curve 1.1e-7 max and final EMA 3.8e-8 for the 12-step run.
 GRAD_TENSOR_RTOL, GRAD_RTOL, LOSS_RTOL = 5e-6, 1e-6, 1e-7
 CURVE_RTOL, EMA_RTOL = 1e-6, 5e-7
-# The GroupNorm vjp in float32 against the float64 composite, relative by
-# norm; measured at most 2.1e-7 for |mean| / std of 0, 1e1 and 1e3 (2.2e-4
-# at 1e3 with the uncentred sums).
+# The same for the WGAN-GP. Measured: critic (d_loss + gp) worst tensor 3.6e-7
+# (conv2.weight), all parameters 2.6e-7, loss 5.3e-8; generator worst tensor
+# 5.2e-7 (fc.weight), all parameters 1.6e-7, loss 6.0e-8; 12-step run loss
+# curves 4.3e-7 max (g_loss), final masters 3.8e-8 (generator) and 1.6e-9
+# (critic).
+GAN_LOSS_RTOL, GAN_CURVE_RTOL, GAN_WEIGHTS_RTOL = 5e-7, 2e-6, 5e-7
+# GroupNorm+SiLU in float32 against the float64 composite, relative by norm:
+# the vjp measured at most 2.1e-7 for |mean| / std of 0, 1e1 and 1e3 (2.2e-4
+# at 1e3 with the uncentred sums), the forward at most 7.9e-8 (4.8e-5 at 1e3
+# with the mean folded into the shift).
 GROUP_NORM_RTOL = 1e-6
 
 
@@ -288,17 +296,40 @@ def _rel_all(got: dict, want: dict) -> float:
     return float(np.sqrt(num / sum(np.sum(want[k] ** 2) for k in want)))
 
 
-# ---- GroupNorm's vjp in float32 at large |mean| / std ------------------------
+# ---- GroupNorm in float32 at large |mean| / std ------------------------------
+
+
+def _group_norm_case(ratio):
+    """Float32 input, gamma and beta with |mean| / std of about ``ratio``."""
+    rng = np.random.default_rng(6)
+    x = ((rng.standard_normal((4, 8, 50)) + ratio) * 0.7).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, (1, 8, 1)).astype(np.float32)
+    beta = rng.standard_normal((1, 8, 1)).astype(np.float32)
+    return x, gamma, beta, rng
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e1, 1e3])
+def test_group_norm_float32_forward_at_large_mean(ratio):
+    """A float32 GroupNorm+SiLU agrees with the float64 composite on the same
+    values, though |mean| / std is large."""
+    x, gamma, beta, _ = _group_norm_case(ratio)
+    outs = []
+    for dt, forward in ((np.float32, None), (np.float64, composite_group_norm)):
+        gn = GroupNorm(2, 8).astype(dt)
+        gn.gamma.data, gn.beta.data = gamma.astype(dt), beta.astype(dt)
+        with no_grad():
+            xt = Tensor(x.astype(dt))
+            outs.append((forward(gn, xt) if forward else gn(xt)).data)
+    got, want = outs
+    assert got.dtype == np.float32
+    assert _rel(got, want) <= GROUP_NORM_RTOL
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1e1, 1e3])
 def test_group_norm_float32_gradients_at_large_mean(ratio):
     """Input, gamma and beta gradients of a float32 GroupNorm+SiLU agree with
     the float64 composite on the same values, though |mean| / std is large."""
-    rng = np.random.default_rng(6)
-    x = ((rng.standard_normal((4, 8, 50)) + ratio) * 0.7).astype(np.float32)
-    gamma = rng.uniform(0.5, 1.5, (1, 8, 1)).astype(np.float32)
-    beta = rng.standard_normal((1, 8, 1)).astype(np.float32)
+    x, gamma, beta, rng = _group_norm_case(ratio)
     w = rng.standard_normal(x.shape).astype(np.float32)
     grads = []
     for dt, forward in ((np.float32, None), (np.float64, composite_group_norm)):
@@ -398,4 +429,115 @@ def test_zero_epochs_builds_no_twin(monkeypatch):
     cfg = diffusion.DiffusionTrainConfig(widths=(8, 16, 16), cond_dim=8, time_dim=8,
                                          groups=4, batch_size=4, epochs=0)
     result = diffusion.train_ddpm(data, labels, 5, cfg)
+    assert result.history == []
+
+
+# ---- train_wgan: float32 twins against float64 master weights ---------------
+
+
+class RecordingTwin(training.Twin):
+    made: list = []
+
+    def __init__(self, master):
+        super().__init__(master)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("spectral", [0.0, 0.5])
+def test_gan_twin_gradients_stay_float32(monkeypatch, spectral):
+    """After one step both twins hold float32 parameters and gradients, with
+    the spectral loss too, and the master nets float64 ones."""
+    monkeypatch.setattr(RecordingTwin, "made", [])
+    monkeypatch.setattr(gan, "Twin", RecordingTwin)
+    rng = np.random.default_rng(5)
+    data, labels = rng.uniform(-1, 1, (8, 4, 50)), rng.integers(0, 3, 8)
+    cfg = gan.GanTrainConfig(channels=(8, 8, 8, 8), latent_dim=8, batch_size=4, n_critic=2,
+                             epochs=1, spectral_loss_weight=spectral, spectral_nfft=16,
+                             spectral_hop=8)
+    result = gan.train_wgan(data, labels, 3, cfg)
+    assert len(result.history) == 1
+    twins = RecordingTwin.made
+    assert [t.master for t in twins] == [result.generator, result.critic]
+    for twin in twins:
+        twin_params, params = twin.module.named_parameters(), twin.master.named_parameters()
+        assert twin_params.keys() == params.keys()
+        for k, p in twin_params.items():
+            assert p.data.dtype == p.grad.data.dtype == np.float32, k
+            assert params[k].data.dtype == params[k].grad.data.dtype == np.float64, k
+            assert np.array_equal(p.data, params[k].data.astype(np.float32)), k
+
+
+def _perturbed_gan(rng):
+    cfg = gan.GanTrainConfig()
+    nets = gan.GeneratorNet(8, 250, 5, cfg, rng), gan.ProjectionCritic(8, 250, 5, cfg, rng)
+    for p in (p for net in nets for p in net.parameters()):
+        p.data = p.data + 0.02 * rng.standard_normal(p.data.shape)
+    return cfg, nets
+
+
+def _assert_gradients_agree(runs):
+    (loss32, g32), (loss64, g64) = runs
+    assert abs(loss32 - loss64) <= GAN_LOSS_RTOL * abs(loss64)
+    for k in g64:
+        assert g32[k].dtype == np.float32
+        assert _rel(g32[k], g64[k]) <= GRAD_TENSOR_RTOL, k
+    assert _rel_all(g32, g64) <= GRAD_RTOL
+
+
+def test_gan_twin_gradients_agree_with_float64():
+    """At default widths, B=16, with perturbed parameters, the float32 twins'
+    critic loss (with the penalty's double backward) and generator loss, and
+    their gradients, agree with the float64 nets'."""
+    rng = np.random.default_rng(0)
+    cfg, (gen, critic) = _perturbed_gan(rng)
+    x_real, y = rng.uniform(-1, 1, (16, 8, 250)), rng.integers(0, 5, 16)
+    z = rng.standard_normal((16, cfg.latent_dim))
+    with no_grad():
+        x_fake = gen(z, y).data
+    critic_runs, gen_runs = [], []
+    for dt in (np.float32, np.float64):
+        g, d = copy.deepcopy(gen).astype(dt), copy.deepcopy(critic).astype(dt)
+        fake = x_fake.astype(dt)
+        d_loss = (d(fake, y).mean() - d(x_real, y).mean()
+                  + gan.gradient_penalty(d, x_real, fake, y, cfg.lambda_gp,
+                                         np.random.default_rng(1)))
+        g_loss = -d(g(z, y), y).mean()
+        for runs, loss, params in ((critic_runs, d_loss, d.named_parameters()),
+                                   (gen_runs, g_loss, g.named_parameters())):
+            grads = grad(loss, list(params.values()))
+            runs.append((loss.item(), {k: v.data for k, v in zip(params, grads)}))
+    _assert_gradients_agree(critic_runs)
+    _assert_gradients_agree(gen_runs)
+
+
+def test_gan_short_run_agrees_with_float64_training(monkeypatch):
+    """12 steps (240 windows, B=16, 4 epochs, half widths) on the float32 twins
+    follow a run whose twins are float64, which is plain float64 training: the
+    loss curves and the final master weights agree within stated tolerances."""
+    rng = np.random.default_rng(5)
+    data, labels = rng.uniform(-1, 1, (240, 8, 100)), rng.integers(0, 5, 240)
+    cfg = gan.GanTrainConfig(channels=(64, 64, 32, 16), batch_size=16, epochs=4, seed=7)
+    got = gan.train_wgan(data, labels, 5, cfg)
+    monkeypatch.setattr(training, "TRAIN_DTYPE", np.float64)
+    want = gan.train_wgan(data, labels, 5, cfg)
+    assert len(got.history) == len(want.history) == 12
+    for col in ("d_loss", "g_loss", "gp"):
+        a, b = (np.array([row[col] for row in r.history]) for r in (got, want))
+        assert np.max(np.abs(a - b) / np.abs(b)) <= GAN_CURVE_RTOL, col
+        assert not np.array_equal(a, b), col          # the first run was float32
+    for net in ("generator", "critic"):
+        state = [getattr(r, net).get_state() for r in (got, want)]
+        assert _rel_all(*state) <= GAN_WEIGHTS_RTOL, net
+
+
+def test_gan_zero_epochs_builds_no_twin(monkeypatch):
+    def no_twin(*args):
+        raise AssertionError("a run without steps built a twin")
+
+    for net in (gan.GeneratorNet, gan.ProjectionCritic):
+        monkeypatch.setattr(net, "astype", no_twin)
+    rng = np.random.default_rng(5)
+    cfg = gan.GanTrainConfig(channels=(8, 8, 8, 8), latent_dim=8, batch_size=4, n_critic=2,
+                             epochs=0)
+    result = gan.train_wgan(rng.uniform(-1, 1, (8, 4, 50)), rng.integers(0, 3, 8), 3, cfg)
     assert result.history == []
