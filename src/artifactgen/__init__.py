@@ -1,15 +1,15 @@
 """artifactgen: label-conditioned multi-channel 1D signal synthesis and evaluation.
 
 Submodules:
-    dsp         - Welch PSD, band power, ACF, channel covariance, STFT magnitude
+    dsp         - Welch PSD, band power, ACF, channel covariance
     windowing   - recordings -> fixed-length labeled windows
     normalize   - per-window min-max and per-recording z-score
     manifest    - AGW1 window files, JSON manifests, split/class-map CSVs
     synthetic   - parametric labeled artifact corpus for oracle testing
-    nn          - reverse-mode autodiff, layers, Adam/AdamW/EMA, checkpoints
+    nn          - reverse-mode autodiff, layers, Adam (with weight decay), EMA, checkpoints
     gan         - conditional WGAN-GP with projection critic
     diffusion   - conditional DDPM with FiLM U-Net and guided DDIM sampling
-    training    - the training loop both models share: batching, best/early stop, logs
+    training    - what both models share: the training loop, float32 twins, checkpoint reading
     metrics     - signal-level, distributional and specificity evaluation suite
     config, cli - strict YAML run configuration and command-line entry points
 """

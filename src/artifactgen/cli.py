@@ -199,6 +199,10 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     started = _utcnow()
     seed = _effective_seed(0, args.seed)
+    out_dir = Path(args.out)
+    if any(out_dir.glob("*.agw")) or (out_dir / "provenance.json").exists():
+        raise ConfigError(f"--out '{out_dir}' already holds sampled windows; `evaluate` "
+                          f"would read them with these, so sample into a new directory")
     ck_path = Path(args.checkpoint)
     raw = ck_path.read_bytes()          # read once: hashed, then parsed
     model_hash = hashlib.sha256(raw).hexdigest()
@@ -225,7 +229,7 @@ def cmd_sample(args) -> int:
         sampler_info = {"latent_dim": gen.latent_dim}
     else:
         scfg = SamplerConfig(num_steps=args.steps, guidance_scale=args.guidance)
-        net, sched, _ = load_unet(ck, use_ema=True)
+        net, sched, _ = load_unet(ck)
         net.astype(SAMPLE_DTYPE)
         y = np.full(args.num, args.class_index, dtype=np.int64)
         windows = sample(net, y, sched, scfg, rng)
@@ -233,7 +237,6 @@ def cmd_sample(args) -> int:
                         "deterministic": True, "ema": True}
     sampler_info["dtype"] = np.dtype(SAMPLE_DTYPE).name
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.num):
         write_window_file(out_dir / f"w{i:06d}.agw", windows[i], args.class_index)
@@ -274,16 +277,23 @@ def cmd_evaluate(args) -> int:
         if not provenance.is_file():
             raise ConfigError(f"no provenance.json in '{fake_dir}': cannot tell which model "
                               f"made its windows, nor on which normalization")
-        model = json.loads(provenance.read_text()).get("model")
+        prov = json.loads(provenance.read_text())
+        model = prov.get("model")
         if model != name:
             raise ConfigError(f"--fake {name}: '{fake_dir}' holds windows of model '{model}'")
         _require_scheme(model, manifest, f"--fake {name}")
+        if len(files) != prov.get("num"):
+            raise ConfigError(f"--fake {name}: '{fake_dir}' holds {len(files)} windows, but "
+                              f"its provenance.json records {prov.get('num')}")
         arrays, labs = [], []
         for fp in files:
             arr, lab = read_window_file(fp)
             if arr.shape != real.data.shape[1:]:
                 raise ValueError(f"{fp}: window shape {arr.shape} does not match real "
                                  f"windows {real.data.shape[1:]}")
+            if lab != prov.get("class"):
+                raise ConfigError(f"--fake {name}: {fp} has label {lab}, but "
+                                  f"its provenance.json records class {prov.get('class')}")
             arrays.append(arr.astype(np.float64))
             labs.append(lab)
         fakes[name] = WindowSet(np.stack(arrays), np.asarray(labs), origin=name,

@@ -113,19 +113,14 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"unknown key(s) {sorted(unknown_model)} under 'model'")
     seed = int(doc.get("seed", 0))
 
-    gan_node = dict(_require_mapping(model.get("gan"), "model.gan"))
-    if "seed" in gan_node:
-        raise ConfigError("model.gan.seed is not allowed; set the top-level seed")
-    gan_node["seed"] = seed
-    gan = _build(GanTrainConfig, gan_node, "model.gan")
-
-    ddpm_node = dict(_require_mapping(model.get("ddpm"), "model.ddpm"))
-    if "seed" in ddpm_node:
-        raise ConfigError("model.ddpm.seed is not allowed; set the top-level seed")
-    ddpm_node["seed"] = seed
-    ddpm = _build(DiffusionTrainConfig, ddpm_node, "model.ddpm")
+    models = {}
+    for key, cls in (("gan", GanTrainConfig), ("ddpm", DiffusionTrainConfig)):
+        node = _require_mapping(model.get(key), f"model.{key}")
+        if "seed" in node:
+            raise ConfigError(f"model.{key}.seed is not allowed; set the top-level seed")
+        models[key] = _build(cls, dict(node, seed=seed), f"model.{key}")
 
     eval_cfg = _build(EvalConfig, _require_mapping(doc.get("eval"), "eval"), "eval")
 
     return RunConfig(seed=seed, output_dir=str(doc.get("output_dir", "runs/out")),
-                     data=data, gan=gan, ddpm=ddpm, eval=eval_cfg)
+                     data=data, eval=eval_cfg, **models)

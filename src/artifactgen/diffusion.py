@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .nn import (
-    AdamW,
+    Adam,
     Conv1d,
     ConvTranspose1d,
     EmaShadow,
@@ -32,8 +32,8 @@ from .nn import (
     no_grad,
     silu,
 )
-from .nn.checkpoint import Checkpoint, load_checkpoint
-from .training import TRAIN_DTYPE, Twin, fit
+from .nn.checkpoint import Checkpoint
+from .training import TRAIN_DTYPE, Twin, fit, read_checkpoint
 
 __all__ = [
     "BetaSchedule",
@@ -333,11 +333,12 @@ def train_ddpm(
     cfg: DiffusionTrainConfig,
     out_dir: str | Path | None = None,
 ) -> DiffusionTrainResult:
-    """AdamW on the denoising loss with a per-step EMA of the weights.
+    """AdamW (`Adam` with ``cfg.weight_decay``) on the denoising loss, with a
+    per-step EMA of the weights.
 
     The U-Net's forward and backward run in `training.TRAIN_DTYPE` on a
-    `training.Twin` of the float64 net; AdamW and the EMA run on the float64
-    masters. ``result.net``, the optimizer moments, the EMA and both
+    `training.Twin` of the float64 net; the optimizer and the EMA run on the
+    float64 masters. ``result.net``, the optimizer moments, the EMA and both
     checkpoints stay float64.
 
     Early stopping and checkpoint selection monitor the smoothed training
@@ -352,7 +353,7 @@ def train_ddpm(
     net = UNet1D(n_ch, n_classes, cfg.widths, cfg.cond_dim, cfg.time_dim, cfg.groups, rng)
     net.sample_length = length
     params = net.named_parameters()
-    opt = AdamW(params, cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
+    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
     ema = EmaShadow(params, cfg.ema_decay)
 
     result = DiffusionTrainResult(net=net, ema=ema)
@@ -385,21 +386,14 @@ def train_ddpm(
     return result
 
 
-def load_unet(path: str | Path | Checkpoint,
-              use_ema: bool = True) -> tuple[UNet1D, BetaSchedule, dict]:
-    """Rebuild the U-Net (EMA weights by default) and its schedule from a
-    checkpoint, given its path or its loaded contents."""
-    ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
+def load_unet(path: str | Path | Checkpoint) -> tuple[UNet1D, BetaSchedule, dict]:
+    """Rebuild the U-Net with its EMA weights (its raw ones if it has none)
+    and its schedule from a checkpoint, given its path or its loaded contents."""
+    ck, cfg = read_checkpoint(path, "ddpm", DiffusionTrainConfig)
     meta = ck.meta
-    if meta.get("model") != "ddpm":
-        raise ValueError(f"{'checkpoint' if ck is path else path}: not a DDPM checkpoint")
-    cfg_d = dict(meta["config"])
-    cfg_d["widths"] = tuple(cfg_d["widths"])
-    cfg = DiffusionTrainConfig(**cfg_d)
     net = UNet1D(meta["n_channels"], meta["n_classes"], cfg.widths,
                  cfg.cond_dim, cfg.time_dim, cfg.groups, np.random.default_rng(0))
     net.sample_length = meta["length"]
-    state = ck.ema if (use_ema and ck.ema) else ck.params
-    net.load_state(state)
+    net.load_state(ck.ema or ck.params)
     sched = BetaSchedule.linear(cfg.schedule_steps, cfg.beta_start, cfg.beta_end)
     return net, sched, meta

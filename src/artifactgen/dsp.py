@@ -1,14 +1,15 @@
-"""Deterministic signal-processing primitives shared by training losses and evaluation.
+"""Deterministic signal-processing primitives of the evaluation suite.
 
-Welch PSD, band power, autocorrelation, channel covariance and STFT magnitude,
-all computed in double precision on raw numpy arrays. Conventions:
+Welch PSD, band power, autocorrelation and channel covariance, all computed
+in double precision on raw numpy arrays. (The differentiable STFT of the
+spectral loss is `gan._stft_mag`.) Conventions:
 
-- Batched: ``welch_psd``, ``autocorrelation`` and ``stft_magnitude`` work along
-  the last axis of ``(..., L)`` arrays, ``channel_covariance`` on the last two of
+- Batched: ``welch_psd`` and ``autocorrelation`` work along the last axis of
+  ``(..., L)`` arrays, ``channel_covariance`` on the last two of
   ``(..., C, L)``, so a whole ``(N, C, L)`` set is one call.
-- Welch and STFT share one framing: a strided frame view and one rfft.
-- Welch: periodic Hann taper, per-segment mean removal, density scaling
-  (integral of a unit-variance white-noise PSD over [0, fs/2] is ~1).
+- Welch: segments as a strided frame view, per-segment mean removal, periodic
+  Hann taper, one rfft, density scaling (integral of a unit-variance
+  white-noise PSD over [0, fs/2] is ~1).
 - Band integration: rectangle rule over bins with lo <= f < hi.
 - ACF: biased normalized estimator, so |r| <= 1 and r[0] = 1.
 """
@@ -29,7 +30,6 @@ __all__ = [
     "band_power",
     "autocorrelation",
     "channel_covariance",
-    "stft_magnitude",
 ]
 
 
@@ -96,27 +96,17 @@ def _by_rows(fn, x: np.ndarray, width: int) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (width,))
 
 
-def _frame_spectra(x: np.ndarray, size: int, step: int, detrend: bool) -> np.ndarray:
-    """rfft of the Hann-tapered, optionally mean-removed frames (a strided view) of
-    ``size`` samples every ``step`` along the last axis: (..., frames, size // 2 + 1)."""
-    frames = np.lib.stride_tricks.sliding_window_view(x, size, axis=-1)[..., ::step, :]
-    if detrend:
-        frames = frames - frames.mean(axis=-1, keepdims=True)
-    return np.fft.rfft(frames * _hann_periodic(size), axis=-1)
-
-
 def welch_psd(
     x: np.ndarray,
     fs: float,
     nperseg: int | None = None,
     overlap_frac: float = 0.5,
-    detrend: bool = True,
 ) -> Psd:
     """Averaged periodogram over Hann-tapered segments of each signal along the last axis.
 
     Segments start every ``floor((1 - overlap_frac) * nperseg)`` samples; each
-    is mean-removed (when ``detrend``), tapered and transformed. Scaling is
-    density-style: ``|X_k|^2 / (fs * sum(w^2))`` with one-sided doubling.
+    is mean-removed, tapered and transformed. Scaling is density-style:
+    ``|X_k|^2 / (fs * sum(w^2))`` with one-sided doubling.
     ``power`` has shape ``x.shape[:-1] + (nperseg // 2 + 1,)``.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -135,7 +125,9 @@ def welch_psd(
     step = max(int(np.floor((1.0 - overlap_frac) * nperseg)), 1)
 
     def periodogram(rows):
-        spec = _frame_spectra(rows, nperseg, step, detrend)
+        frames = np.lib.stride_tricks.sliding_window_view(rows, nperseg, axis=-1)[..., ::step, :]
+        frames = frames - frames.mean(axis=-1, keepdims=True)
+        spec = np.fft.rfft(frames * _hann_periodic(nperseg), axis=-1)
         return (spec.real ** 2 + spec.imag ** 2).mean(axis=-2)
 
     p = _by_rows(periodogram, x, nperseg // 2 + 1) / (fs * np.sum(_hann_periodic(nperseg) ** 2))
@@ -196,16 +188,3 @@ def channel_covariance(w: np.ndarray) -> np.ndarray:
     wc = w - w.mean(axis=-1, keepdims=True)
     return wc @ wc.swapaxes(-1, -2) / (length - 1)
 
-
-def stft_magnitude(x: np.ndarray, nfft: int, hop: int) -> np.ndarray:
-    """Hann-windowed frame magnitudes along the last axis, shape (..., frames, nfft//2 + 1).
-
-    Frame count is floor((L - nfft) / hop) + 1; frames start at multiples of hop.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    if nfft > n:
-        raise ValueError(f"nfft={nfft} exceeds signal length {n}")
-    if nfft < 1 or hop < 1:
-        raise ValueError("nfft and hop must be >= 1")
-    return np.abs(_frame_spectra(x, nfft, hop, detrend=False))

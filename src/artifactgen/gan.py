@@ -40,28 +40,21 @@ from .nn import (
     leaky_relu,
     matmul,
     no_grad,
-    silu,
     unfold1d,
 )
-from .nn.checkpoint import Checkpoint, load_checkpoint
-from .training import TRAIN_DTYPE, Twin, fit
+from .nn.checkpoint import Checkpoint
+from .training import TRAIN_DTYPE, Twin, fit, read_checkpoint
 
 __all__ = [
     "GanTrainConfig",
     "GeneratorNet",
     "ProjectionCritic",
-    "critic_score",
     "gradient_penalty",
     "spectral_l1",
     "train_wgan",
     "GanTrainResult",
     "load_generator",
 ]
-
-# activations whose a.e. second derivative is defined everywhere we evaluate it;
-# anything else in the critic would break the double-backprop of the penalty
-CRITIC_ACTIVATIONS = ("leaky_relu", "tanh", "silu")
-
 
 @dataclass
 class GanTrainConfig:
@@ -135,18 +128,12 @@ class ProjectionCritic(Module):
     """Strided conv encoder phi, scalar head and class projection: w^T phi + <phi, e_y>."""
 
     def __init__(self, n_channels: int, length: int, n_classes: int,
-                 cfg: GanTrainConfig, rng: np.random.Generator,
-                 activation: str = "leaky_relu"):
-        if activation not in CRITIC_ACTIVATIONS:
-            raise ValueError(
-                f"critic activation '{activation}' is not twice-differentiable enough for "
-                f"the gradient penalty; choose one of {CRITIC_ACTIVATIONS}")
+                 cfg: GanTrainConfig, rng: np.random.Generator):
         if length % 10 != 0:
             raise ValueError(f"critic needs length divisible by 10, got {length}")
         ch = cfg.channels
         self.n_classes = n_classes
         self.slope = cfg.leaky_slope
-        self.activation = activation
         self.conv1 = Conv1d(n_channels, ch[3], kernel=8, stride=2, padding=3, rng=rng)
         self.conv2 = Conv1d(ch[3], ch[2], kernel=9, stride=5, padding=2, rng=rng)
         self.conv3 = Conv1d(ch[2], ch[1], kernel=9, stride=5, padding=2, rng=rng)
@@ -154,17 +141,10 @@ class ProjectionCritic(Module):
         self.head = Linear(self.feature_dim, 1, rng, bias=False)
         self.embed = Embedding(n_classes, self.feature_dim, rng)
 
-    def _act(self, x: Tensor) -> Tensor:
-        if self.activation == "leaky_relu":
-            return leaky_relu(x, self.slope)
-        if self.activation == "tanh":
-            return x.tanh()
-        return silu(x)
-
     def features(self, x: Tensor) -> Tensor:
-        h = self._act(self.conv1(x))
-        h = self._act(self.conv2(h))
-        h = self._act(self.conv3(h))
+        h = leaky_relu(self.conv1(x), self.slope)
+        h = leaky_relu(self.conv2(h), self.slope)
+        h = leaky_relu(self.conv3(h), self.slope)
         return global_avg_pool1d(h)
 
     def forward(self, x: Tensor | np.ndarray, y: np.ndarray) -> Tensor:
@@ -175,14 +155,6 @@ class ProjectionCritic(Module):
         base = self.head(phi).reshape((-1,))
         proj = (phi * self.embed(np.asarray(y))).sum(axis=1)
         return base + proj
-
-
-def critic_score(critic: ProjectionCritic, x, y) -> Tensor:
-    """Projection score D(x, y); accepts a single (C, L) window or a batch."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if arr.ndim == 2:
-        return critic(arr[None], np.atleast_1d(y)).reshape(())
-    return critic(x, y)
 
 
 def gradient_penalty(critic, x_real: np.ndarray, x_fake: np.ndarray,
@@ -226,8 +198,9 @@ def _dft_matrices(nfft: int, dtype) -> tuple[Tensor, Tensor, Tensor]:
 
 
 def _stft_mag(x: Tensor, nfft: int, hop: int) -> Tensor:
-    """Differentiable Hann STFT magnitude matching dsp.stft_magnitude, in the
-    dtype of ``x``."""
+    """Magnitude of the periodic-Hann STFT of each channel of ``x`` (B, C, L):
+    frames of ``nfft`` samples every ``hop``, shape (B*C, frames, nfft//2 + 1),
+    differentiable and in the dtype of ``x``. The one STFT in the package."""
     b, c, length = x.shape
     frames = unfold1d(x.reshape((b * c, 1, length)), nfft, hop)   # (B*C, nfft, F)
     win, cos_m, sin_m = _dft_matrices(nfft, x.data.dtype)
@@ -362,13 +335,8 @@ def _namespaced(gen: GeneratorNet, critic: ProjectionCritic) -> dict[str, np.nda
 def load_generator(path: str | Path | Checkpoint) -> tuple[GeneratorNet, dict]:
     """Rebuild the generator (best weights) from a checkpoint written by
     train_wgan, given its path or its loaded contents."""
-    ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
+    ck, cfg = read_checkpoint(path, "wgan", GanTrainConfig)
     meta = ck.meta
-    if meta.get("model") != "wgan":
-        raise ValueError(f"{'checkpoint' if ck is path else path}: not a WGAN checkpoint")
-    cfg_d = dict(meta["config"])
-    cfg_d["channels"] = tuple(cfg_d["channels"])
-    cfg = GanTrainConfig(**cfg_d)
     gen = GeneratorNet(meta["n_channels"], meta["length"], meta["n_classes"],
                        cfg, np.random.default_rng(0))
     gen.load_state({k[len("generator/"):]: v for k, v in ck.params.items()

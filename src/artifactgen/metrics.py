@@ -32,7 +32,6 @@ __all__ = [
     "MetricReport",
     "bandwise_rel_err",
     "psd_l2_error",
-    "channel_mean_discrepancy",
     "mmd_unbiased",
     "diversity",
     "cov_frobenius",
@@ -198,14 +197,6 @@ def psd_l2_error(real: WindowSet, fake: WindowSet,
     return float(np.sum((_SetStats(real, welch).psd.power - _SetStats(fake, welch).psd.power) ** 2))
 
 
-def channel_mean_discrepancy(real: WindowSet, fake: WindowSet) -> tuple[np.ndarray, float]:
-    """Per-channel grand-mean difference (fake - real) and its mean magnitude."""
-    if real.n_channels != fake.n_channels:
-        raise ValueError("channel counts differ")
-    delta = fake.data.mean(axis=(0, 2)) - real.data.mean(axis=(0, 2))
-    return delta, float(np.mean(np.abs(delta)))
-
-
 def mmd_unbiased(x_set: WindowSet, y_set: WindowSet,
                  bandwidth: float | None = None) -> float:
     """Unbiased squared-MMD U-statistic with an RBF kernel on flattened windows.
@@ -308,7 +299,6 @@ def compute_report(
     real: WindowSet,
     fakes: dict[str, WindowSet],
     welch: WelchSettings = WelchSettings(),
-    bands: tuple[dsp.BandSpec, ...] | None = None,
     max_lag: int = 50,
     knn_k: int = 5,
     normalization: str = "unknown",
@@ -321,8 +311,7 @@ def compute_report(
                          f"{sorted(MODEL_PREFIX)}")
     for fake in fakes.values():
         _check_pair(real, fake)
-    if bands is None:
-        bands = dsp.canonical_bands(real.fs)
+    bands = dsp.canonical_bands(real.fs)
 
     metrics: dict = {"diversity_real": diversity(real)}
     skipped = {m: "no window set provided" for m in MODEL_PREFIX if m not in fakes}

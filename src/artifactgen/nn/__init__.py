@@ -7,7 +7,6 @@ from .tensor import (
     fold1d,
     gather_rows,
     grad,
-    input_gradient,
     leaky_relu,
     matmul,
     no_grad,
@@ -24,14 +23,14 @@ from .layers import (
     film,
     global_avg_pool1d,
 )
-from .optim import Adam, AdamW, EmaShadow
+from .optim import Adam, EmaShadow
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 __all__ = [
-    "Tensor", "backward", "grad", "input_gradient", "no_grad",
+    "Tensor", "backward", "grad", "no_grad",
     "concat", "matmul", "leaky_relu", "silu", "unfold1d", "fold1d", "gather_rows",
     "Module", "Linear", "Conv1d", "ConvTranspose1d", "Embedding", "GroupNorm",
     "film", "global_avg_pool1d",
-    "Adam", "AdamW", "EmaShadow",
+    "Adam", "EmaShadow",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
 ]

@@ -126,12 +126,12 @@ class Conv1d(Module):
     """Strided 1D convolution with explicit symmetric zero padding."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int = 1,
-                 padding: int = 0, rng: np.random.Generator | None = None, bias: bool = True):
+                 padding: int = 0, rng: np.random.Generator | None = None):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = c_in * kernel
         self.weight = _uniform_init(rng, (c_out, c_in, kernel), fan_in)
-        self.bias = _uniform_init(rng, (c_out, 1), fan_in) if bias else None
+        self.bias = _uniform_init(rng, (c_out, 1), fan_in)
 
     def out_length(self, length: int) -> int:
         return (length + 2 * self.padding - self.kernel) // self.stride + 1
@@ -145,11 +145,10 @@ class Conv1d(Module):
         with no_grad():
             cols = _unfold(x, k, s, p)
         data = weight.data.reshape(w2_shape) @ cols.data
-        if bias is not None:
-            data += bias.data
+        data += bias.data
 
         def vjp(g):
-            gx = gw = gb = None
+            gx = gw = None
             w2 = weight.reshape(w2_shape)
             if x.requires_grad:
                 gx = _fold(matmul(w2.swapaxes(-1, -2), g), x.shape[2], k, s, p)
@@ -158,24 +157,21 @@ class Conv1d(Module):
                 cols_t = _unfold(x, k, s, p, time_major=True)
                 gw = matmul(_batch_columns(g), cols_t.reshape((-1, w2_shape[1])))
                 gw = gw.reshape(weight.shape)
-            if bias is not None:
-                gb = _unbroadcast(g, bias.shape)
-            return gx, gw, gb
+            return gx, gw, _unbroadcast(g, bias.shape)
 
-        return Tensor._result(data, (x, weight) + ((bias,) if bias is not None else ()),
-                              vjp, "conv1d")
+        return Tensor._result(data, (x, weight, bias), vjp, "conv1d")
 
 
 class ConvTranspose1d(Module):
     """Transposed 1D convolution: L_out = (L_in - 1) * stride + kernel - 2 * padding."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
-                 padding: int = 0, rng: np.random.Generator | None = None, bias: bool = True):
+                 padding: int = 0, rng: np.random.Generator | None = None):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = c_in * kernel
         self.weight = _uniform_init(rng, (c_in, c_out, kernel), fan_in)
-        self.bias = _uniform_init(rng, (c_out, 1), fan_in) if bias else None
+        self.bias = _uniform_init(rng, (c_out, 1), fan_in)
 
     def out_length(self, length: int) -> int:
         return (length - 1) * self.stride + self.kernel - 2 * self.padding
@@ -194,23 +190,19 @@ class ConvTranspose1d(Module):
             w2t = weight.reshape(w2_shape).swapaxes(0, 1)
             out = _fold(Tensor(w2t.data @ x.data), out_len, k, s, p)   # (B, c_out, out_len)
         data = out.data
-        if bias is not None:
-            data += bias.data
+        data += bias.data
 
         def vjp(g):
-            gx = gw = gb = None
+            gx = gw = None
             cols = _unfold(g, k, s, p)                                 # (B, c_out*k, L)
             if x.requires_grad:
                 gx = matmul(weight.reshape(w2_shape), cols)
             if weight.requires_grad:
                 cols_t = cols.swapaxes(1, 2).reshape((-1, w2_shape[1]))  # (B*L, c_out*k)
                 gw = matmul(_batch_columns(x), cols_t).reshape(weight.shape)
-            if bias is not None:
-                gb = _unbroadcast(g, bias.shape)
-            return gx, gw, gb
+            return gx, gw, _unbroadcast(g, bias.shape)
 
-        return Tensor._result(data, (x, weight) + ((bias,) if bias is not None else ()),
-                              vjp, "conv_transpose1d")
+        return Tensor._result(data, (x, weight, bias), vjp, "conv_transpose1d")
 
 
 def _batch_columns(t: Tensor) -> Tensor:
@@ -230,6 +222,10 @@ class Embedding(Module):
         return gather_rows(self.weight, idx)
 
 
+# added to each group's variance before the square root
+GROUP_NORM_EPS = 1e-5
+
+
 class GroupNorm(Module):
     """Group normalization followed by SiLU: ``silu(gamma * xhat + beta)``.
 
@@ -238,10 +234,10 @@ class GroupNorm(Module):
     only: a backward pass through it with ``create_graph=True`` raises.
     """
 
-    def __init__(self, groups: int, channels: int, eps: float = 1e-5):
+    def __init__(self, groups: int, channels: int):
         if channels % groups != 0:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
-        self.groups, self.channels, self.eps = groups, channels, eps
+        self.groups, self.channels = groups, channels
         self.gamma = _param(np.ones((1, channels, 1)))
         self.beta = _param(np.zeros((1, channels, 1)))
 
@@ -262,7 +258,7 @@ class GroupNorm(Module):
         y = xg - mean
         y -= y.mean(axis=(2, 3), keepdims=True)
         var = np.einsum("bgct,bgct->bg", y, y)[:, :, None, None] * (1.0 / count)
-        rstd = 1.0 / np.sqrt(var + self.eps)
+        rstd = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
 
         # gamma * xhat + beta as one per-(b, c) scale and a shift, then the SiLU
         scale = gamma_g * rstd                                           # (B, G, C/G, 1)

@@ -1,7 +1,8 @@
-"""Adam / AdamW with bias correction, plus an EMA shadow of model weights.
+"""Adam with bias correction and optional decoupled weight decay, plus an
+EMA shadow of model weights.
 
-AdamW applies decoupled weight decay (lr * wd * theta, computed from the
-pre-update parameter); with wd = 0 it reduces to Adam exactly.
+A nonzero ``weight_decay`` makes it AdamW (Loshchilov & Hutter): it adds
+lr * wd * theta, computed from the pre-update parameter, to the Adam update.
 """
 
 from __future__ import annotations
@@ -10,26 +11,25 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Adam", "AdamW", "EmaShadow"]
+__all__ = ["Adam", "EmaShadow"]
 
 
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("betas must be in [0, 1)")
+        if weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         self.params = dict(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.weight_decay = 0.0
+        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def step(self) -> None:
         self.t += 1
@@ -67,16 +67,6 @@ class Adam:
         for k in self.params:
             self.m[k] = np.asarray(state["m"][k], dtype=np.float64).copy()
             self.v[k] = np.asarray(state["v"][k], dtype=np.float64).copy()
-
-
-class AdamW(Adam):
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 1e-4):
-        super().__init__(params, lr, beta1, beta2, eps)
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        self.weight_decay = weight_decay
 
 
 class EmaShadow:

@@ -38,7 +38,6 @@ __all__ = [
     "no_grad",
     "backward",
     "grad",
-    "input_gradient",
     "concat",
     "matmul",
     "leaky_relu",
@@ -108,9 +107,6 @@ class Tensor:
             ref = weakref.ref(out)
             out._vjp = lambda g: vjp(g, ref())
         return out
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # ---- basic introspection ----------------------------------------------
 
@@ -184,14 +180,6 @@ class Tensor:
             data, (a,), lambda g: (g * (p * a ** (p - 1.0)),), "pow")
 
     # ---- elementwise functions ----------------------------------------------
-
-    def exp(self):
-        return Tensor._result_of_output(np.exp(self.data), (self,),
-                                        lambda g, out: (g * out,), "exp")
-
-    def log(self):
-        a = self
-        return Tensor._result(np.log(a.data), (a,), lambda g: (g / a,), "log")
 
     def sqrt(self):
         return Tensor._result_of_output(np.sqrt(self.data), (self,),
@@ -534,17 +522,3 @@ def grad(output: Tensor, inputs: list[Tensor], create_graph: bool = False) -> li
     return [g if g is not None else Tensor(np.zeros_like(t.data))
             for t, g in zip(inputs, grads)]
 
-
-def input_gradient(f, x: Tensor) -> Tensor:
-    """Gradient of scalar-valued ``f`` w.r.t. its input, kept differentiable.
-
-    The returned tensor carries its own graph, so scalars built from it (such
-    as a gradient-norm penalty) backpropagate into the parameters of ``f``.
-    """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if not x.requires_grad:
-        x = Tensor(x.data, requires_grad=True)
-    y = f(x)
-    (gx,) = grad(y, [x], create_graph=True)
-    return gx

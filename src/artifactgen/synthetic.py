@@ -191,28 +191,29 @@ def _interval_signal(label: str, n: int, fs: float, n_chan: int,
     return topo[:, None] * mono[None, :]
 
 
+# Each annotated interval lasts a uniform draw from this range (seconds), and
+# quiet background of GAP_SECONDS separates the intervals.
+INTERVAL_SECONDS = (2.0, 3.0)
+GAP_SECONDS = 0.5
+
+
 def generate_corpus(
     n_per_class: int,
     fs: float = CANONICAL_FS,
     seed: int = 0,
-    class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES,
     channel_names: tuple[str, ...] = CANONICAL_CHANNELS,
-    interval_seconds: tuple[float, float] = (2.0, 3.0),
-    gap_seconds: float = 0.5,
 ) -> list[Recording]:
-    """One recording per subject, each holding one interval of every class.
+    """One recording per subject, each holding one interval of every class in
+    `DEFAULT_CLASS_NAMES` order.
 
     With n_per_class recordings, every class appears in n_per_class annotated
     intervals. Deterministic: child seeds derive from the root seed.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    unknown = set(class_names) - set(TEMPLATES)
-    if unknown:
-        raise ValueError(f"no template for classes {sorted(unknown)}")
 
     n_chan = len(channel_names)
-    gap = int(gap_seconds * fs)
+    gap = int(GAP_SECONDS * fs)
     children = np.random.SeedSequence(seed).spawn(n_per_class)
     recordings = []
     for r in range(n_per_class):
@@ -220,12 +221,12 @@ def generate_corpus(
         annotations = []
         spans = []
         cursor = gap
-        for name in class_names:
-            dur = int(rng.uniform(*interval_seconds) * fs)
+        for name in DEFAULT_CLASS_NAMES:
+            dur = int(rng.uniform(*INTERVAL_SECONDS) * fs)
             spans.append((cursor, cursor + dur, name))
             cursor += dur + gap
         total = cursor
-        data = TEMPLATES[class_names[0]].noise_floor * _pink_noise(rng, n_chan, total)
+        data = TEMPLATES[DEFAULT_CLASS_NAMES[0]].noise_floor * _pink_noise(rng, n_chan, total)
         for start, end, name in spans:
             data[:, start:end] += _interval_signal(name, end - start, fs, n_chan, rng)
             annotations.append(Annotation(start, end, name))

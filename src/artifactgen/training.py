@@ -1,8 +1,8 @@
-"""The training loop both models share: a seeded permutation per epoch, the
-divergence check, best tracking on the smoothed monitored loss, early
-stopping, and the loss CSV with the last and best checkpoints; and the
-`TRAIN_DTYPE` twin both models compute on while their float64 master weights
-take the optimizer steps."""
+"""What both models share: `fit`, the training loop (a seeded permutation per
+epoch, the divergence check, best tracking on the smoothed monitored loss,
+early stopping, and the loss CSV with the last and best checkpoints); `Twin`,
+the `TRAIN_DTYPE` copy each net computes on while its float64 master weights
+take the optimizer steps; and `read_checkpoint`, which both loaders call."""
 
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .nn import Adam, Module, Tensor, save_checkpoint
-from .nn.checkpoint import atomic_open
+from .nn.checkpoint import Checkpoint, atomic_open, load_checkpoint
 
-__all__ = ["TRAIN_DTYPE", "TrainingDiverged", "Twin", "fit"]
+__all__ = ["TRAIN_DTYPE", "TrainingDiverged", "Twin", "fit", "read_checkpoint"]
 
 # The dtype both trainers run their nets' forward and backward in, as
 # `cli.SAMPLE_DTYPE` is the one `sample` runs the nets in. The optimizers, the
@@ -128,3 +128,14 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
                         **checkpoint(True))
         save_checkpoint(out_dir / f"{model}_best.ckpt", step=result.best_step, meta=meta,
                         **checkpoint(False))
+
+
+def read_checkpoint(path: str | Path | Checkpoint, model: str,
+                    config_cls) -> tuple[Checkpoint, object]:
+    """The checkpoint at ``path`` (or ``path`` itself, already loaded) and the
+    ``config_cls`` it was trained with; ValueError unless ``model`` wrote it."""
+    ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
+    if ck.meta.get("model") != model:
+        raise ValueError(f"{'checkpoint' if ck is path else path}: "
+                         f"not a {model.upper()} checkpoint")
+    return ck, config_cls(**ck.meta["config"])

@@ -51,9 +51,6 @@ class ClassMap:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def name(self, idx: int) -> str:
-        return self.names[idx]
-
     def as_pairs(self) -> list[list]:
         return [[n, i] for i, n in enumerate(self.names)]
 

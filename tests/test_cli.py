@@ -2,7 +2,8 @@
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
 and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
 sampling that writes the bytes of one batch, and the config rejections,
-refused samplings and refused evaluations that must exit with code 2."""
+refused samplings (bad arguments, a used --out) and refused evaluations that
+must exit with code 2."""
 
 import builtins
 import hashlib
@@ -17,6 +18,7 @@ import yaml
 
 from artifactgen import cli
 from artifactgen.cli import main
+from artifactgen.manifest import read_window_file, write_window_file
 from artifactgen.nn import load_checkpoint
 
 GAN = {"channels": [8, 8, 8, 8], "latent_dim": 8, "batch_size": 4, "n_critic": 2, "epochs": 1}
@@ -121,6 +123,45 @@ def test_sample_refuses_before_it_writes(checkpoints, tmp_path, capsys, model, a
                "--out", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("leftover", ["windows", "provenance"])
+def test_sample_refuses_a_used_out_directory(checkpoints, tmp_path, capsys, leftover):
+    """A second run into the same --out would leave the first run's extra
+    windows beside its own, and `evaluate` would read them all."""
+    out = tmp_path / "fake"
+    assert run("sample", "--checkpoint", checkpoints["gan"], "--class", 1, "--num", 10,
+               "--out", out) == 0
+    for path in out.iterdir():
+        if (path.suffix == ".agw") != (leftover == "windows"):
+            path.unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("sample", "--checkpoint", checkpoints["gan"], "--class", 3, "--num", 4,
+               "--out", out) == 2
+    assert "already holds sampled windows" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("change, message", [
+    ("extra_window", "holds 5 windows, but its provenance.json records 4"),
+    ("other_label", "has label 3, but its provenance.json records class 0"),
+], ids=["extra_window", "other_label"])
+def test_evaluate_refuses_windows_its_provenance_does_not_describe(curated, sampled, tmp_path,
+                                                                   capsys, change, message):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for path in sampled["wgan"].iterdir():
+        (mixed / path.name).write_bytes(path.read_bytes())
+    data, label = read_window_file(mixed / "w000000.agw")
+    if change == "extra_window":
+        write_window_file(mixed / "w000004.agw", data, label)
+    else:
+        write_window_file(mixed / "w000000.agw", data, 3)
+    config, manifest = curated["gan"]
+    assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"wgan={mixed}",
+               "--out", tmp_path / "report.json") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("real, fake, message", [

@@ -19,7 +19,7 @@ from artifactgen.diffusion import (
     sinusoidal_embedding,
     train_ddpm,
 )
-from artifactgen.nn import AdamW, EmaShadow, Tensor, backward, grad, no_grad
+from artifactgen.nn import Adam, EmaShadow, Tensor, backward, grad, no_grad
 from artifactgen.training import TrainingDiverged
 from artifactgen.nn import GroupNorm
 from test_layers import composite_group_norm
@@ -402,7 +402,7 @@ class TestTrainDdpm:
         cfg = self.small_cfg(epochs=2)
         result = train_ddpm(data, labels, 2, cfg, out_dir=tmp_path)
         assert (tmp_path / "ddpm_losses.csv").exists()
-        net, sched, meta = load_unet(tmp_path / "ddpm_best.ckpt", use_ema=True)
+        net, sched, meta = load_unet(tmp_path / "ddpm_best.ckpt")
         assert sched.num_steps == cfg.schedule_steps
         for k, v in net.get_state().items():
             assert np.array_equal(v, result.best_ema_state[k])
@@ -438,7 +438,7 @@ class TestTrainDdpm:
         sched = BetaSchedule.linear(cfg.schedule_steps)
         net = UNet1D(2, 2, cfg.widths, cfg.cond_dim, cfg.time_dim, cfg.groups, rng)
         params = net.named_parameters()
-        opt = AdamW(params, cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
+        opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
         ema = EmaShadow(params, decay=0.9)
         ema_net = UNet1D(2, 2, cfg.widths, cfg.cond_dim, cfg.time_dim, cfg.groups,
                          np.random.default_rng(0))
@@ -446,7 +446,7 @@ class TestTrainDdpm:
         live_curve, ema_curve = [], []
         for step in range(300):
             idx = rng.integers(0, len(data), size=4)
-            opt.zero_grad()
+            net.zero_grad()
             loss = denoise_loss(net, data[idx], labels[idx], sched, 0.0, rng)
             backward(loss)
             opt.step()

@@ -12,7 +12,6 @@ from artifactgen.dsp import (
     band_power,
     canonical_bands,
     channel_covariance,
-    stft_magnitude,
     welch_psd,
 )
 
@@ -207,26 +206,3 @@ class TestChannelCovariance:
         cov = channel_covariance(w)
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
-
-
-class TestStftMagnitude:
-    def test_zero_signal(self):
-        assert np.all(stft_magnitude(np.zeros(512), 128, 64) == 0.0)
-
-    def test_dc_concentrates_in_bin_zero(self):
-        mags = stft_magnitude(np.ones(512), 128, 64)
-        assert np.all(np.argmax(mags, axis=1) == 0)
-
-    def test_sine_peak_bin(self):
-        mags = stft_magnitude(sine(10.0, 1024), 128, 64)
-        expected_bin = round(10.0 * 128 / FS)
-        assert expected_bin == 5
-        assert np.all(np.argmax(mags, axis=1) == expected_bin)
-
-    def test_frame_count(self):
-        mags = stft_magnitude(np.zeros(1000), 128, 64)
-        assert mags.shape == ((1000 - 128) // 64 + 1, 65)
-
-    def test_nfft_longer_than_signal(self):
-        with pytest.raises(ValueError):
-            stft_magnitude(np.zeros(100), 128, 64)

@@ -22,6 +22,7 @@ from artifactgen.nn import (
     no_grad,
     unfold1d,
 )
+from artifactgen.nn.layers import GROUP_NORM_EPS
 from test_tensor import check_grads, numeric_grad
 
 RNG = np.random.default_rng(0)
@@ -51,8 +52,9 @@ def check_module_grads(module, build, rtol=1e-4, atol=1e-7):
 
 class TestConv1d:
     def test_identity_kernel(self):
-        conv = Conv1d(3, 3, kernel=1, rng=RNG, bias=False)
+        conv = Conv1d(3, 3, kernel=1, rng=RNG)
         conv.weight.data = np.eye(3).reshape(3, 3, 1)
+        conv.bias.data = np.zeros((3, 1))
         x = RNG.standard_normal((2, 3, 20))
         assert np.allclose(conv(Tensor(x)).data, x, rtol=1e-12)
 
@@ -100,9 +102,11 @@ class TestConvTranspose1d:
         # <conv(x), y> == <x, convT(y)> when weights are shared, no biases, and
         # the conv is exact-fit ((L + 2p - k) % s == 0)
         c_in, c_out, k, s, p, length = 3, 4, 5, 2, 2, 15
-        conv = Conv1d(c_in, c_out, k, s, p, rng=RNG, bias=False)
-        up = ConvTranspose1d(c_out, c_in, k, s, p, rng=RNG, bias=False)
+        conv = Conv1d(c_in, c_out, k, s, p, rng=RNG)
+        up = ConvTranspose1d(c_out, c_in, k, s, p, rng=RNG)
         up.weight.data = conv.weight.data.copy()  # (c_out, c_in, k) both notations
+        conv.bias.data = np.zeros((c_out, 1))
+        up.bias.data = np.zeros((c_in, 1))
         x = RNG.standard_normal((2, c_in, length))
         y = RNG.standard_normal((2, c_out, conv.out_length(length)))
         lhs = float((conv(Tensor(x)).data * y).sum())
@@ -141,7 +145,7 @@ class TestGroupNorm:
         out = gn(Tensor(x)).data
         grouped = x.reshape(3, 2, 2 * 50)
         xhat = (grouped - grouped.mean(axis=2, keepdims=True)) / np.sqrt(
-            grouped.var(axis=2, keepdims=True) + gn.eps)
+            grouped.var(axis=2, keepdims=True) + GROUP_NORM_EPS)
         xhat = xhat.reshape(x.shape)
         assert np.allclose(out, xhat / (1.0 + np.exp(-xhat)), rtol=1e-12, atol=1e-14)
 
@@ -254,7 +258,7 @@ def composite_group_norm(gn, x):
     xg = x.reshape((b, gn.groups, c // gn.groups, length))
     mu = xg.mean(axis=(2, 3), keepdims=True)
     var = ((xg - mu) ** 2).mean(axis=(2, 3), keepdims=True)
-    norm = (xg - mu) / ((var + gn.eps).sqrt())
+    norm = (xg - mu) / ((var + GROUP_NORM_EPS).sqrt())
     y = norm.reshape((b, c, length)) * gn.gamma + gn.beta
     return y * y.sigmoid()
 

@@ -257,8 +257,6 @@ def test_public_pair_functions_match_the_report(sets):
     rel = metrics.bandwise_rel_err(real, fake, welch=welch)
     assert rel == {b: m[f"rel_err_{b}_wgan"] for b in rel}
     assert metrics.psd_l2_error(real, fake, welch) == m["psd_l2_wgan"]
-    delta, effect = metrics.channel_mean_discrepancy(real, fake)
-    assert delta.tolist() == m["g_mu_diff"] and effect == m["g_mean_effect"]
     assert metrics.mmd_unbiased(real, fake) == m["mmd_r_wgan"]
     assert metrics.mmd_unbiased(fakes["ddpm"], fake) == m["mmd_ddpm_wgan"]
     assert metrics.cov_frobenius(real, fake) == m["cov_frob_wgan"]
@@ -277,9 +275,8 @@ def test_batched_dsp_matches_per_row_calls(monkeypatch):
     with pytest.warns(UserWarning, match="1 zero-variance"):
         acf = dsp.autocorrelation(x, MAX_LAG)
     cov = dsp.channel_covariance(x)
-    stft = dsp.stft_magnitude(x, 32, 20)
     assert psd.power.shape == (7, C, 21) and acf.shape == (7, C, MAX_LAG + 1)
-    assert cov.shape == (7, C, C) and stft.shape == (7, C, 5, 17)
+    assert cov.shape == (7, C, C)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the zero-variance channel warns per call
         for i in range(len(x)):
@@ -290,8 +287,6 @@ def test_batched_dsp_matches_per_row_calls(monkeypatch):
                 one = dsp.welch_psd(row, FS, nperseg=40, overlap_frac=0.25)
                 np.testing.assert_allclose(psd.power[i, c], one.power, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(acf[i, c], dsp.autocorrelation(row, MAX_LAG),
-                                           rtol=1e-12, atol=1e-15)
-                np.testing.assert_allclose(stft[i, c], dsp.stft_magnitude(row, 32, 20),
                                            rtol=1e-12, atol=1e-15)
                 if np.ptp(row) > 0:
                     xc = row - row.mean()
