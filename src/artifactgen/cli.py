@@ -30,7 +30,7 @@ from .manifest import (
     load_window_set,
     read_class_map_csv,
     read_split_csv,
-    read_window_file,
+    read_window_stack,
     validate_split,
     write_class_map_csv,
     write_split_csv,
@@ -254,22 +254,27 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = _utcnow()
-    cfg = load_config(args.config)
-    seed = _effective_seed(cfg.seed)
-    manifest = Manifest.load(args.real)
-    base = Path(args.real).parent
-    split = None if args.split == "all" else args.split
-    data, labels, _ = load_window_set(manifest, base, split=split)
-    real = WindowSet(data, labels, origin="real", fs=cfg.data.sample_rate)
-
-    fakes: dict[str, WindowSet] = {}
+    fake_dirs: dict[str, Path] = {}
     for spec in args.fake or []:
         name, _, d = spec.partition("=")
         if not d:
             raise ConfigError(f"--fake expects NAME=DIR, got '{spec}'")
         if name not in MODEL_SCHEME:
             raise ConfigError(f"--fake NAME must be one of {sorted(MODEL_SCHEME)}, got '{name}'")
-        fake_dir = Path(d)
+        if name in fake_dirs:
+            raise ConfigError(f"--fake {name} is given twice ('{fake_dirs[name]}' and '{d}')")
+        fake_dirs[name] = Path(d)
+    if not fake_dirs:
+        raise ConfigError("evaluate needs at least one --fake NAME=DIR")
+    cfg = load_config(args.config)
+    seed = _effective_seed(cfg.seed)
+    manifest = Manifest.load(args.real)
+    split = None if args.split == "all" else args.split
+    real = WindowSet(*load_window_set(manifest, Path(args.real).parent, split=split)[:2],
+                     origin="real", fs=cfg.data.sample_rate)
+
+    fakes: dict[str, WindowSet] = {}
+    for name, fake_dir in fake_dirs.items():
         files = sorted(fake_dir.glob("*.agw"))
         if not files:
             raise ConfigError(f"no .agw windows found in '{fake_dir}'")
@@ -285,21 +290,12 @@ def cmd_evaluate(args) -> int:
         if len(files) != prov.get("num"):
             raise ConfigError(f"--fake {name}: '{fake_dir}' holds {len(files)} windows, but "
                               f"its provenance.json records {prov.get('num')}")
-        arrays, labs = [], []
-        for fp in files:
-            arr, lab = read_window_file(fp)
-            if arr.shape != real.data.shape[1:]:
-                raise ValueError(f"{fp}: window shape {arr.shape} does not match real "
-                                 f"windows {real.data.shape[1:]}")
+        data, labels = read_window_stack(files)   # compute_report refuses another shape
+        for fp, lab in zip(files, labels):
             if lab != prov.get("class"):
                 raise ConfigError(f"--fake {name}: {fp} has label {lab}, but "
                                   f"its provenance.json records class {prov.get('class')}")
-            arrays.append(arr.astype(np.float64))
-            labs.append(lab)
-        fakes[name] = WindowSet(np.stack(arrays), np.asarray(labs), origin=name,
-                                fs=cfg.data.sample_rate)
-    if not fakes:
-        raise ConfigError("evaluate needs at least one --fake NAME=DIR")
+        fakes[name] = WindowSet(data, labels, origin=name, fs=cfg.data.sample_rate)
 
     welch = WelchSettings(nperseg=cfg.eval.nperseg, overlap=cfg.eval.overlap)
     report = compute_report(

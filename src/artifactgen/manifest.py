@@ -36,6 +36,7 @@ __all__ = [
     "read_split_csv",
     "write_class_map_csv",
     "read_class_map_csv",
+    "read_window_stack",
     "load_window_set",
 ]
 
@@ -254,6 +255,16 @@ def write_windows(
     return Manifest(config_hash=cfg_hash, seed=seed, class_map=class_map, entries=entries)
 
 
+def read_window_stack(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
+    """Read AGW1 window files of one shape into an (N, C, L) float64 array and
+    their (N,) int64 labels."""
+    windows, labels = zip(*map(read_window_file, paths))
+    shapes = {w.shape for w in windows}
+    if len(shapes) != 1:
+        raise ValueError(f"non-uniform window shapes: {sorted(shapes)}")
+    return np.array(windows, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
 def load_window_set(
     manifest: Manifest,
     base_dir: str | Path,
@@ -263,20 +274,11 @@ def load_window_set(
 
     Returns (data, labels, subjects), optionally restricted to one split.
     """
-    base = Path(base_dir)
-    chunks, labels, subjects = [], [], []
-    for e in manifest.entries:
-        if split is not None and e.split != split:
-            continue
-        data, label = read_window_file(base / e.path)
+    entries = [e for e in manifest.entries if split is None or e.split == split]
+    if not entries:
+        raise ValueError(f"no windows for split '{split}'" if split else "empty manifest")
+    data, labels = read_window_stack([Path(base_dir) / e.path for e in entries])
+    for e, label in zip(entries, labels):
         if label != e.label:
             raise ValueError(f"{e.path}: file label {label} != manifest label {e.label}")
-        chunks.append(data.astype(np.float64))
-        labels.append(e.label)
-        subjects.append(e.subject)
-    if not chunks:
-        raise ValueError(f"no windows for split '{split}'" if split else "empty manifest")
-    shapes = {c.shape for c in chunks}
-    if len(shapes) != 1:
-        raise ValueError(f"non-uniform window shapes: {sorted(shapes)}")
-    return np.stack(chunks), np.asarray(labels, dtype=np.int64), subjects
+    return data, labels, [e.subject for e in entries]

@@ -10,15 +10,19 @@ All metrics operate on flattened raw windows (there is no learned feature
 encoder in this artifact); the report header records that choice. Welch
 settings are shared between both sides of every comparison.
 
-`compute_report` computes each set's statistics once, over the whole
-``(N, C, L)`` array, and each pair of sets' squared-distance block once, which
-MMD, 1-NN and kNN all read. The public pair functions run the same kernels.
+A `WindowSet` holds a read-only view of its windows and keeps the statistics
+the metrics read, each computed on first use over the whole ``(N, C, L)``
+array: channel means, covariance, the PSD per `WelchSettings`, the ACF per lag
+count, and the squared-distance block to itself and to each set it meets, so
+MMD, 1-NN and kNN of one pair share one GEMM. `compute_report` is a loop over
+the public pair functions and `diversity`.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -46,18 +50,41 @@ REL_ERR_EPS = 1e-8
 MODEL_PREFIX = {"ddpm": "d", "wgan": "g"}  # paper-style field prefixes
 
 
-@dataclass
+@dataclass(frozen=True)
+class WelchSettings:
+    nperseg: int | None = None    # None -> min(L, 256)
+    overlap: float = 0.5
+
+    def to_dict(self) -> dict:
+        return {"nperseg": self.nperseg, "overlap": self.overlap, "window": "hann",
+                "detrend": True}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class WindowSet:
-    """A uniform stack of labeled windows from one origin (real or a model)."""
+    """A uniform stack of labeled windows from one origin (real or a model).
+
+    Its fields cannot be reassigned, and its arrays and kept statistics are
+    read-only. The arrays are views of those given, not copies, so write no more
+    into those either. Sets compare by identity."""
 
     data: np.ndarray            # (N, C, L) float64
     labels: np.ndarray          # (N,) int
     origin: str = "real"
     fs: float = 250.0
+    _psd: dict = field(default_factory=dict, init=False, repr=False)
+    _acf: dict = field(default_factory=dict, init=False, repr=False)
+    _d2: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
+                                           init=False, repr=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        for name, dtype in (("data", np.float64), ("labels", np.int64)):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype).view()))
         if self.data.ndim != 3 or self.data.shape[0] == 0:
             raise ValueError(f"window set needs nonempty (N, C, L) data, got {self.data.shape}")
         if self.labels.shape != (self.data.shape[0],):
@@ -76,15 +103,44 @@ class WindowSet:
     def flat(self) -> np.ndarray:
         return self.data.reshape(self.n, -1)
 
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """(C,) channel means."""
+        return _frozen(self.data.mean(axis=(0, 2)))
 
-@dataclass(frozen=True)
-class WelchSettings:
-    nperseg: int | None = None    # None -> min(L, 256)
-    overlap: float = 0.5
+    @cached_property
+    def cov(self) -> np.ndarray:
+        """Window-averaged (C, C) channel covariance."""
+        return _frozen(dsp.channel_covariance(self.data).mean(axis=0))
 
-    def to_dict(self) -> dict:
-        return {"nperseg": self.nperseg, "overlap": self.overlap, "window": "hann",
-                "detrend": True}
+    def psd(self, welch: WelchSettings) -> dsp.Psd:
+        """Welch PSD averaged over windows and channels (linear, so band powers commute)."""
+        if welch not in self._psd:
+            psd = dsp.welch_psd(self.data, self.fs, nperseg=welch.nperseg,
+                                overlap_frac=welch.overlap)
+            self._psd[welch] = replace(psd, power=_frozen(psd.power.mean(axis=(0, 1))))
+        return self._psd[welch]
+
+    def acf(self, max_lag: int) -> np.ndarray:
+        """ACF averaged over windows and channels; a zero-variance channel adds [1, 0, ...]."""
+        if max_lag not in self._acf:
+            self._acf[max_lag] = _frozen(dsp.autocorrelation(self.data, max_lag).mean(axis=(0, 1)))
+        return self._acf[max_lag]
+
+    @cached_property
+    def _sq(self) -> np.ndarray:
+        return _frozen(np.sum(self.flat() ** 2, axis=1))       # (N,) squared row norms
+
+    def sq_dist(self, other: WindowSet) -> np.ndarray:
+        """Squared Euclidean distances from this set's rows to other's, not clamped at 0.
+        A pair's block is computed once and kept by the set that asked first."""
+        if other in self._d2:
+            return self._d2[other]
+        if self in other._d2:
+            return other._d2[self].T
+        block = self._sq[:, None] + other._sq[None, :] - 2.0 * (self.flat() @ other.flat().T)
+        self._d2[other] = _frozen(block)
+        return block
 
 
 def _check_pair(real: WindowSet, fake: WindowSet) -> None:
@@ -94,92 +150,6 @@ def _check_pair(real: WindowSet, fake: WindowSet) -> None:
         raise ValueError(f"sampling rates differ: {real.fs} vs {fake.fs}")
 
 
-class _SetStats:
-    """The statistics of one window set that the metrics read. Each is computed
-    on first use, over the whole (N, C, L) array, and then kept."""
-
-    def __init__(self, ws: WindowSet, welch: WelchSettings = WelchSettings(), max_lag: int = 50):
-        self.ws, self.welch, self.max_lag = ws, welch, max_lag
-        self.flat = ws.flat()
-        self.mu = ws.data.mean(axis=(0, 2))           # (C,) channel means
-        self.sq = np.sum(self.flat ** 2, axis=1)       # (N,) squared row norms
-
-    @cached_property
-    def psd(self) -> dsp.Psd:
-        """Welch PSD averaged over windows and channels (linear, so band powers commute)."""
-        w = self.welch
-        psd = dsp.welch_psd(self.ws.data, self.ws.fs, nperseg=w.nperseg, overlap_frac=w.overlap)
-        return replace(psd, power=psd.power.mean(axis=(0, 1)))
-
-    @cached_property
-    def acf(self) -> np.ndarray:
-        """ACF averaged over windows and channels; a zero-variance channel adds [1, 0, ...]."""
-        return dsp.autocorrelation(self.ws.data, self.max_lag).mean(axis=(0, 1))
-
-    @cached_property
-    def cov(self) -> np.ndarray:
-        return dsp.channel_covariance(self.ws.data).mean(axis=0)
-
-    @cached_property
-    def d2(self) -> np.ndarray:
-        return self.sq_dist(self)
-
-    def sq_dist(self, other: "_SetStats") -> np.ndarray:
-        """Squared Euclidean distances from this set's rows to other's, not clamped at 0."""
-        return self.sq[:, None] + other.sq[None, :] - 2.0 * (self.flat @ other.flat.T)
-
-
-def _rel_err(r: _SetStats, f: _SetStats, bands: tuple[dsp.BandSpec, ...]) -> dict[str, float]:
-    out = {}
-    for b in bands:
-        pr = dsp.band_power(r.psd, b)
-        out[b.name] = abs(dsp.band_power(f.psd, b) - pr) / (pr + REL_ERR_EPS)
-    return out
-
-
-def _mmd(x: _SetStats, y: _SetStats, d_xy: np.ndarray, bandwidth: float | None = None) -> float:
-    m, n = d_xy.shape
-    if m < 2 or n < 2:
-        raise ValueError("MMD needs at least 2 samples on each side")
-    if bandwidth is None:
-        # the median heuristic: the median of the pooled pairwise distances, read
-        # from the within-set upper triangles and the whole cross block
-        pairs = np.concatenate([x.d2[np.triu_indices(m, k=1)], y.d2[np.triu_indices(n, k=1)],
-                                d_xy.ravel()])
-        bandwidth = float(np.median(np.sqrt(np.maximum(pairs, 0.0)))) or 1.0
-    gamma = 1.0 / (2.0 * bandwidth ** 2)
-    kxx, kyy, kxy = (np.exp(-gamma * np.maximum(d2, 0.0)) for d2 in (x.d2, y.d2, d_xy))
-    term_x = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    term_y = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    return float(term_x + term_y - 2.0 * kxy.sum() / (m * n))
-
-
-def _one_nn(r: _SetStats, f: _SetStats, d_rf: np.ndarray) -> float:
-    n = min(d_rf.shape)
-    if n < 2:
-        raise ValueError("1-NN separability needs a pooled set of at least 4")
-    d2 = np.block([[r.d2[:n, :n], d_rf[:n, :n]], [d_rf[:n, :n].T, f.d2[:n, :n]]])
-    np.fill_diagonal(d2, np.inf)
-    is_fake = np.arange(2 * n) >= n
-    return float(np.mean(is_fake[np.argmin(d2, axis=1)] == is_fake))
-
-
-def _knn(d_fr: np.ndarray, y_real: np.ndarray, y_fake: np.ndarray, k: int) -> dict:
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and >= 1")
-    if k > len(y_real):
-        raise ValueError(f"k={k} exceeds real training set size {len(y_real)}")
-    neighbor_labels = y_real[np.argpartition(d_fr, k - 1, axis=1)[:, :k]]
-    classes = np.arange(int(max(y_real.max(), y_fake.max())) + 1)
-    votes = np.sum(neighbor_labels[:, :, None] == classes, axis=1)   # (N_fake, classes)
-    pred = np.argmax(votes, axis=1)  # argmax takes the lowest index on ties
-    per_class = {int(c): float(np.mean(pred[y_fake == c] == c)) if c in y_real else None
-                 for c in np.unique(y_fake)}
-    accs = [a for a in per_class.values() if a is not None]
-    return {"per_class": per_class, "macro": float(np.mean(accs)) if accs else float("nan"),
-            "k": k}
-
-
 def bandwise_rel_err(real: WindowSet, fake: WindowSet,
                      bands: tuple[dsp.BandSpec, ...] | None = None,
                      welch: WelchSettings = WelchSettings()) -> dict[str, float]:
@@ -187,14 +157,18 @@ def bandwise_rel_err(real: WindowSet, fake: WindowSet,
     _check_pair(real, fake)
     if bands is None:
         bands = dsp.canonical_bands(real.fs)
-    return _rel_err(_SetStats(real, welch), _SetStats(fake, welch), bands)
+    out = {}
+    for b in bands:
+        pr = dsp.band_power(real.psd(welch), b)
+        out[b.name] = abs(dsp.band_power(fake.psd(welch), b) - pr) / (pr + REL_ERR_EPS)
+    return out
 
 
 def psd_l2_error(real: WindowSet, fake: WindowSet,
                  welch: WelchSettings = WelchSettings()) -> float:
     """Squared L2 distance between channel-averaged mean PSD vectors."""
     _check_pair(real, fake)
-    return float(np.sum((_SetStats(real, welch).psd.power - _SetStats(fake, welch).psd.power) ** 2))
+    return float(np.sum((real.psd(welch).power - fake.psd(welch).power) ** 2))
 
 
 def mmd_unbiased(x_set: WindowSet, y_set: WindowSet,
@@ -204,10 +178,22 @@ def mmd_unbiased(x_set: WindowSet, y_set: WindowSet,
     Kernel bandwidth defaults to the median heuristic over the pooled pairwise
     distances. The estimate can be slightly negative (unbiasedness).
     """
-    x, y = _SetStats(x_set), _SetStats(y_set)
-    if x.flat.shape[1] != y.flat.shape[1]:
-        raise ValueError("flattened dimensions differ")
-    return _mmd(x, y, x.sq_dist(y), bandwidth)
+    _check_pair(x_set, y_set)
+    m, n = x_set.n, y_set.n
+    if m < 2 or n < 2:
+        raise ValueError("MMD needs at least 2 samples on each side")
+    d_xx, d_yy, d_xy = x_set.sq_dist(x_set), y_set.sq_dist(y_set), x_set.sq_dist(y_set)
+    if bandwidth is None:
+        # the median heuristic: the median of the pooled pairwise distances, read
+        # from the within-set upper triangles and the whole cross block
+        pairs = np.concatenate([d_xx[np.triu_indices(m, k=1)], d_yy[np.triu_indices(n, k=1)],
+                                d_xy.ravel()])
+        bandwidth = float(np.median(np.sqrt(np.maximum(pairs, 0.0)))) or 1.0
+    gamma = 1.0 / (2.0 * bandwidth ** 2)
+    kxx, kyy, kxy = (np.exp(-gamma * np.maximum(d2, 0.0)) for d2 in (d_xx, d_yy, d_xy))
+    term_x = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+    term_y = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    return float(term_x + term_y - 2.0 * kxy.sum() / (m * n))
 
 
 def diversity(s: WindowSet) -> float:
@@ -239,16 +225,14 @@ def diversity(s: WindowSet) -> float:
 
 def cov_frobenius(real: WindowSet, fake: WindowSet) -> float:
     """Frobenius distance between window-averaged channel covariance matrices."""
-    if real.n_channels != fake.n_channels:
-        raise ValueError("channel counts differ")
-    return float(np.linalg.norm(_SetStats(real).cov - _SetStats(fake).cov))
+    _check_pair(real, fake)
+    return float(np.linalg.norm(real.cov - fake.cov))
 
 
 def acf_l2(real: WindowSet, fake: WindowSet, max_lag: int = 50) -> float:
     """L2 distance between set-averaged, channel-averaged autocorrelations."""
     _check_pair(real, fake)
-    return float(np.linalg.norm(_SetStats(real, max_lag=max_lag).acf
-                                - _SetStats(fake, max_lag=max_lag).acf))
+    return float(np.linalg.norm(real.acf(max_lag) - fake.acf(max_lag)))
 
 
 def one_nn_separability(real: WindowSet, fake: WindowSet) -> float:
@@ -257,8 +241,15 @@ def one_nn_separability(real: WindowSet, fake: WindowSet) -> float:
     0.5 means indistinguishable, 1.0 trivially separable. Both sets are
     truncated to the smaller size. Ties break toward the lower pooled index.
     """
-    r, f = _SetStats(real), _SetStats(fake)
-    return _one_nn(r, f, r.sq_dist(f))
+    _check_pair(real, fake)
+    n = min(real.n, fake.n)
+    if n < 2:
+        raise ValueError("1-NN separability needs a pooled set of at least 4")
+    d_rf = real.sq_dist(fake)[:n, :n]
+    d2 = np.block([[real.sq_dist(real)[:n, :n], d_rf], [d_rf.T, fake.sq_dist(fake)[:n, :n]]])
+    np.fill_diagonal(d2, np.inf)
+    is_fake = np.arange(2 * n) >= n
+    return float(np.mean(is_fake[np.argmin(d2, axis=1)] == is_fake))
 
 
 def knn_class_recovery(real_train: WindowSet, fake_eval: WindowSet,
@@ -269,8 +260,22 @@ def knn_class_recovery(real_train: WindowSet, fake_eval: WindowSet,
     macro accuracy over evaluable classes. Vote ties break toward the lower
     class index.
     """
-    d_fr = _SetStats(fake_eval).sq_dist(_SetStats(real_train))
-    return _knn(d_fr, real_train.labels, fake_eval.labels, k)
+    _check_pair(real_train, fake_eval)
+    y_real, y_fake = real_train.labels, fake_eval.labels
+    if k < 1 or k % 2 == 0:
+        raise ValueError("k must be odd and >= 1")
+    if k > len(y_real):
+        raise ValueError(f"k={k} exceeds real training set size {len(y_real)}")
+    d_fr = fake_eval.sq_dist(real_train)
+    neighbor_labels = y_real[np.argpartition(d_fr, k - 1, axis=1)[:, :k]]
+    classes = np.arange(int(max(y_real.max(), y_fake.max())) + 1)
+    votes = np.sum(neighbor_labels[:, :, None] == classes, axis=1)   # (N_fake, classes)
+    pred = np.argmax(votes, axis=1)  # argmax takes the lowest index on ties
+    per_class = {int(c): float(np.mean(pred[y_fake == c] == c)) if c in y_real else None
+                 for c in np.unique(y_fake)}
+    accs = [a for a in per_class.values() if a is not None]
+    return {"per_class": per_class, "macro": float(np.mean(accs)) if accs else float("nan"),
+            "k": k}
 
 
 @dataclass
@@ -287,12 +292,6 @@ class MetricReport:
         with open(path, "w") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "MetricReport":
-        with open(path) as f:
-            d = json.load(f)
-        return cls(meta=d["meta"], metrics=d["metrics"])
 
 
 def compute_report(
@@ -318,31 +317,26 @@ def compute_report(
     if skipped:
         metrics["skipped"] = skipped
 
-    r = _SetStats(real, welch, max_lag)
-    stats = {name: _SetStats(fake, welch, max_lag) for name, fake in fakes.items()}
     for name, fake in fakes.items():
-        f, p = stats[name], MODEL_PREFIX[name]
-        for band_name, val in _rel_err(r, f, bands).items():
+        p = MODEL_PREFIX[name]
+        for band_name, val in bandwise_rel_err(real, fake, bands, welch).items():
             metrics[f"rel_err_{band_name}_{name}"] = val
-        metrics[f"psd_l2_{name}"] = float(np.sum((r.psd.power - f.psd.power) ** 2))
-        delta = f.mu - r.mu
+        metrics[f"psd_l2_{name}"] = psd_l2_error(real, fake, welch)
+        delta = fake.mu - real.mu
         metrics[f"{p}_mu_diff"] = delta.tolist()
         metrics[f"{p}_mean_effect"] = float(np.mean(np.abs(delta)))
-        d_rf = r.sq_dist(f)
-        metrics[f"mmd_r_{name}"] = _mmd(r, f, d_rf)
+        metrics[f"mmd_r_{name}"] = mmd_unbiased(real, fake)
         metrics[f"diversity_{name}"] = diversity(fake)
-        metrics[f"cov_frob_{name}"] = float(np.linalg.norm(r.cov - f.cov))
-        metrics[f"acf_l2_{name}"] = float(np.linalg.norm(r.acf - f.acf))
-        metrics[f"one_nn_acc_{name}"] = _one_nn(r, f, d_rf)
-        rec = _knn(d_rf.T, real.labels, fake.labels, knn_k)
+        metrics[f"cov_frob_{name}"] = cov_frobenius(real, fake)
+        metrics[f"acf_l2_{name}"] = acf_l2(real, fake, max_lag)
+        metrics[f"one_nn_acc_{name}"] = one_nn_separability(real, fake)
+        rec = knn_class_recovery(real, fake, knn_k)
         metrics[f"knn_recovery_{name}"] = {
             "per_class": {str(c): a for c, a in rec["per_class"].items()},
             "macro": rec["macro"], "k": rec["k"],
         }
-
-    if "ddpm" in stats and "wgan" in stats:
-        d, g = stats["ddpm"], stats["wgan"]
-        metrics["mmd_ddpm_wgan"] = _mmd(d, g, d.sq_dist(g))
+    if "ddpm" in fakes and "wgan" in fakes:
+        metrics["mmd_ddpm_wgan"] = mmd_unbiased(fakes["ddpm"], fakes["wgan"])
 
     meta = {
         "welch": welch.to_dict(),

@@ -1,9 +1,9 @@
 """Command line and strict config: a tiny curate -> train -> sample -> evaluate
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
 and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
-sampling that writes the bytes of one batch, and the config rejections,
-refused samplings (bad arguments, a used --out) and refused evaluations that
-must exit with code 2."""
+sampling that writes the bytes of one batch, the seed's precedence, and the
+config rejections, refused samplings (bad arguments, a used --out) and refused
+evaluations that must exit with code 2."""
 
 import builtins
 import hashlib
@@ -183,6 +183,78 @@ def test_evaluate_refuses_what_it_cannot_compare(curated, sampled, tmp_path, cap
                "--out", tmp_path / "report.json") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["all_windows", "one_window"])
+def test_evaluate_refuses_windows_of_another_shape(curated, sampled, tmp_path, capsys, damage):
+    short = tmp_path / "short"
+    short.mkdir()
+    for path in sampled["wgan"].iterdir():
+        (short / path.name).write_bytes(path.read_bytes())
+    for path in sorted(short.glob("*.agw"))[: 1 if damage == "one_window" else None]:
+        data, label = read_window_file(path)
+        write_window_file(path, data[:, :100], label)
+    config, manifest = curated["gan"]
+    assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"wgan={short}",
+               "--out", tmp_path / "report.json") == 2
+    message = "window shapes differ" if damage == "all_windows" else "non-uniform"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_refuses_a_repeated_fake_name(curated, sampled, tmp_path, capsys):
+    """A second --fake of one NAME would replace the first; it is refused
+    before any window directory or manifest is read."""
+    config, manifest = curated["gan"]
+    for real in (manifest, tmp_path / "missing" / "manifest.json"):
+        assert run("evaluate", "--config", config, "--real", real,
+                   "--fake", f"wgan={sampled['wgan']}", "--fake", f"wgan={tmp_path / 'absent'}",
+                   "--out", tmp_path / "report.json") == 2
+        assert "--fake wgan is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("env, seed_args, want", [
+    (None, (), 0), ("5", (), 5), ("5", ("--seed", 8), 8),
+], ids=["default", "env", "flag_over_env"])
+def test_sample_seed_precedence(checkpoints, tmp_path, monkeypatch, env, seed_args, want):
+    """`sample --seed` wins over ARTIFACTGEN_SEED, which wins over seed 0."""
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    assert run("sample", "--checkpoint", checkpoints["gan"], "--class", 0, "--num", 1,
+               *seed_args, "--out", tmp_path / "fake") == 0
+    for name in ("provenance.json", "run.json"):
+        assert json.loads((tmp_path / "fake" / name).read_text())["seed"] == want, name
+
+
+@pytest.mark.parametrize("env, want", [(None, 3), ("7", 7)], ids=["config", "env"])
+def test_curate_seed_precedence(tmp_path, monkeypatch, env, want):
+    """ARTIFACTGEN_SEED wins over the config seed (3)."""
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    config = write_config(tmp_path / "c.yaml", tmp_path, NORMALIZATION["gan"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # two subjects leave val and test empty
+        assert run("curate", "--config", config, "--synthetic", "--n-per-class", 1) == 0
+    dataset = tmp_path / "dataset"
+    assert json.loads((dataset / "run.json").read_text())["seed"] == want
+    assert json.loads((dataset / "manifest.json").read_text())["seed"] == want
+
+
+@pytest.mark.parametrize("command", ["curate", "sample"])
+def test_non_integer_seed_env_exits_2(checkpoints, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv(cli.SEED_ENV, "seven")
+    if command == "curate":
+        config = write_config(tmp_path / "c.yaml", tmp_path, NORMALIZATION["gan"])
+        argv = ("curate", "--config", config, "--synthetic", "--n-per-class", 1)
+    else:
+        argv = ("sample", "--checkpoint", checkpoints["gan"], "--class", 0, "--num", 1,
+                "--out", tmp_path / "fake")
+    assert run(*argv) == 2
+    assert "ARTIFACTGEN_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+    assert not (tmp_path / "dataset").exists() and not (tmp_path / "fake").exists()
 
 
 def test_default_pipeline_trains_the_gan(tmp_path, capsys):

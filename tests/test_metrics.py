@@ -1,10 +1,15 @@
 """Evaluation suite: `compute_report` against independent references (scipy's
 Welch, `np.correlate`, `np.cov`, a direct MMD U-statistic, `cdist` nearest
-neighbours) and against the per-(window, channel) formulation it replaced;
-the batched dsp primitives against per-row calls; zero-variance channels; and
-one Welch call per window set."""
+neighbours), against the per-(window, channel) formulation and against a
+report written by the previous implementation; the batched dsp primitives
+against per-row calls; zero-variance channels; one dsp call per window set
+and one distance block per pair; read-only sets and kept statistics; and the
+text table of a two-model and a one-model report."""
 
+import dataclasses
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from scipy import signal
 from scipy.spatial.distance import cdist, pdist
 
 from artifactgen import dsp, metrics
-from artifactgen.metrics import WelchSettings, WindowSet, compute_report
+from artifactgen.metrics import WelchSettings, WindowSet, compute_report, render_table
 
 FS = 250.0
 C, L = 3, 128
@@ -22,6 +27,10 @@ MAX_LAG, KNN_K = 20, 3
 RTOL, ATOL = 1e-9, 1e-13
 EXACT = ("_mu_diff", "one_nn_acc_", "knn_recovery_")
 WELCH = [WelchSettings(), WelchSettings(nperseg=64, overlap=0.5)]  # one segment; three
+# `compute_report(real, fakes)` of `large_sets()`, written by the implementation
+# that ran private kernels on a per-call statistics cache. The report JSON of
+# the set-kept statistics had the same SHA-256 (OpenBLAS 0.3.31, 2 threads).
+PARENT_REPORT = Path(__file__).parent / "data" / "report_500x2x500.json"
 
 
 def window_set(n, seed, origin="real", classes=(0, 1, 2), noise=0.6):
@@ -43,6 +52,21 @@ def sets():
     fakes = {"ddpm": window_set(30, 2, "ddpm", noise=0.8),
              "wgan": window_set(38, 3, "wgan", classes=(0, 1, 2, 3))}
     return real, fakes
+
+
+def fresh(ws):
+    """A copy of a set that keeps no statistics yet."""
+    return WindowSet(ws.data, ws.labels, origin=ws.origin, fs=ws.fs)
+
+
+def fresh_sets(real, fakes):
+    return fresh(real), {name: fresh(f) for name, f in fakes.items()}
+
+
+def large_sets():
+    """500 real windows against two fake sets of 500."""
+    return window_set(500, 11), {"ddpm": window_set(500, 12, "ddpm", noise=0.8),
+                                 "wgan": window_set(500, 13, "wgan", classes=(0, 1, 2, 3))}
 
 
 def flat_values(report_metrics):
@@ -215,14 +239,14 @@ def per_channel_report(real, fakes, welch):
     return out
 
 
-def assert_report_matches(got: dict, want: dict):
+def assert_report_matches(got: dict, want: dict, rtol=RTOL, atol=ATOL):
     got, want = flat_values(got), flat_values(want)
     assert set(got) == set(want)
     for key, ref in want.items():
         if any(tag in key for tag in EXACT) or not isinstance(ref, (float, list)):
             assert got[key] == ref, key
         else:
-            np.testing.assert_allclose(got[key], ref, rtol=RTOL, atol=ATOL, err_msg=key)
+            np.testing.assert_allclose(got[key], ref, rtol=rtol, atol=atol, err_msg=key)
 
 
 # --------------------------------------------------------------------- tests
@@ -250,21 +274,31 @@ def test_report_matches_per_channel_formulation(sets, welch):
 
 
 def test_public_pair_functions_match_the_report(sets):
+    """The report runs the pair functions on sets that share their statistics;
+    each function on fresh sets computes its own and gives the same value."""
     real, fakes = sets
     welch = WELCH[1]
     m = compute_report(real, fakes, welch=welch, max_lag=MAX_LAG, knn_k=KNN_K).metrics
-    fake = fakes["wgan"]
-    rel = metrics.bandwise_rel_err(real, fake, welch=welch)
+    r, f = lambda: fresh(real), lambda: fresh(fakes["wgan"])
+    rel = metrics.bandwise_rel_err(r(), f(), welch=welch)
     assert rel == {b: m[f"rel_err_{b}_wgan"] for b in rel}
-    assert metrics.psd_l2_error(real, fake, welch) == m["psd_l2_wgan"]
-    assert metrics.mmd_unbiased(real, fake) == m["mmd_r_wgan"]
-    assert metrics.mmd_unbiased(fakes["ddpm"], fake) == m["mmd_ddpm_wgan"]
-    assert metrics.cov_frobenius(real, fake) == m["cov_frob_wgan"]
-    assert metrics.acf_l2(real, fake, MAX_LAG) == m["acf_l2_wgan"]
-    assert metrics.one_nn_separability(real, fake) == m["one_nn_acc_wgan"]
-    rec = metrics.knn_class_recovery(real, fake, KNN_K)
+    assert metrics.psd_l2_error(r(), f(), welch) == m["psd_l2_wgan"]
+    assert metrics.mmd_unbiased(r(), f()) == m["mmd_r_wgan"]
+    assert metrics.mmd_unbiased(fresh(fakes["ddpm"]), f()) == m["mmd_ddpm_wgan"]
+    assert metrics.cov_frobenius(r(), f()) == m["cov_frob_wgan"]
+    assert metrics.acf_l2(r(), f(), MAX_LAG) == m["acf_l2_wgan"]
+    assert metrics.one_nn_separability(r(), f()) == m["one_nn_acc_wgan"]
+    rec = metrics.knn_class_recovery(r(), f(), KNN_K)
     assert rec["macro"] == m["knn_recovery_wgan"]["macro"]
     assert {str(c): a for c, a in rec["per_class"].items()} == m["knn_recovery_wgan"]["per_class"]
+
+
+def test_report_matches_the_previous_implementation():
+    real, fakes = large_sets()
+    got = json.loads(json.dumps(compute_report(real, fakes).to_dict()))
+    want = json.loads(PARENT_REPORT.read_text())
+    assert got["meta"] == want["meta"]
+    assert_report_matches(got["metrics"], want["metrics"], rtol=1e-12, atol=0.0)
 
 
 def test_batched_dsp_matches_per_row_calls(monkeypatch):
@@ -309,7 +343,8 @@ def test_zero_variance_channel_inside_a_set(sets):
 
 
 def test_one_welch_call_per_window_set(sets, monkeypatch):
-    real, fakes = sets
+    """Each dsp statistic runs once per set; a second report computes none."""
+    real, fakes = fresh_sets(*sets)
     calls = {name: [] for name in ("welch_psd", "autocorrelation", "channel_covariance")}
     for name, seen in calls.items():
         original = getattr(dsp, name)
@@ -319,10 +354,55 @@ def test_one_welch_call_per_window_set(sets, monkeypatch):
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(dsp, name, counting)
-    compute_report(real, fakes, max_lag=MAX_LAG, knn_k=KNN_K)
+    first = compute_report(real, fakes, max_lag=MAX_LAG, knn_k=KNN_K)
     sets_in = {id(real.data), *(id(f.data) for f in fakes.values())}
     for name, seen in calls.items():
         assert sorted(seen) == sorted(sets_in), name
+    assert compute_report(real, fakes, max_lag=MAX_LAG, knn_k=KNN_K).metrics == first.metrics
+    for name, seen in calls.items():
+        assert len(seen) == len(sets_in), name
+
+
+def test_one_distance_block_per_pair(sets, monkeypatch):
+    """MMD, 1-NN and kNN of a pair, and the fake-vs-fake MMD, read one block
+    per unordered pair of sets, the within-set blocks included."""
+    real, fakes = fresh_sets(*sets)
+    blocks = {}
+    original = WindowSet.sq_dist
+
+    def recording(self, other):
+        block = original(self, other)
+        owner = block if block.base is None else block.base    # a transposed read
+        blocks.setdefault(frozenset((id(self), id(other))), []).append(owner)
+        return block
+
+    monkeypatch.setattr(WindowSet, "sq_dist", recording)
+    compute_report(real, fakes, max_lag=MAX_LAG, knn_k=KNN_K)
+    assert len(blocks) == 6    # 3 within-set blocks, real-ddpm, real-wgan, ddpm-wgan
+    for reads in blocks.values():
+        assert all(b is reads[0] for b in reads)
+
+
+def test_a_set_and_its_kept_statistics_are_read_only(sets):
+    """A set's kept statistics cannot go stale through the set: its windows,
+    labels and every statistic it hands out are read-only, and its fields
+    cannot be reassigned. The caller's own array stays writeable."""
+    real, fakes = sets
+    data = real.data.copy()
+    ws = WindowSet(data, real.labels, fs=FS)
+    before = compute_report(ws, fakes, max_lag=MAX_LAG, knn_k=KNN_K).metrics
+    kept = [ws.data, ws.flat(), ws.labels, ws.mu, ws.cov, ws.psd(WelchSettings()).power,
+            ws.acf(MAX_LAG), ws.sq_dist(ws), ws.sq_dist(fakes["ddpm"]),
+            fakes["ddpm"].sq_dist(ws)]
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    for name in ("data", "labels", "fs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ws, name, getattr(fakes["ddpm"], name))
+    assert data.flags.writeable and ws.data.base is data
+    assert compute_report(ws, fakes, max_lag=MAX_LAG, knn_k=KNN_K).metrics == before
+    assert compute_report(*fresh_sets(ws, fakes), max_lag=MAX_LAG, knn_k=KNN_K).metrics == before
 
 
 def test_report_refuses_mismatched_sets(sets):
@@ -332,3 +412,53 @@ def test_report_refuses_mismatched_sets(sets):
         compute_report(real, {"ddpm": short})
     with pytest.raises(ValueError, match="unknown model keys"):
         compute_report(real, {"gan": fakes["wgan"]})
+    # each pair function refuses too, a reshape with the same flattened size included
+    fake = fakes["ddpm"]
+    refolded = WindowSet(fake.data.reshape(fake.n, 1, -1), fake.labels, fs=FS)
+    other_rate = WindowSet(fake.data, fake.labels, fs=2 * FS)
+    pair_functions = (metrics.bandwise_rel_err, metrics.psd_l2_error, metrics.mmd_unbiased,
+                      metrics.cov_frobenius, metrics.acf_l2, metrics.one_nn_separability,
+                      metrics.knn_class_recovery)
+    for fn in pair_functions:
+        with pytest.raises(ValueError, match="window shapes differ"):
+            fn(real, refolded)
+        with pytest.raises(ValueError, match="sampling rates differ"):
+            fn(real, other_rate)
+
+
+def table_rows(report):
+    """The table's nonblank lines as {first word: the words after it}."""
+    return {words[0]: words[1:] for words in map(str.split, render_table(report).splitlines())
+            if words}
+
+
+def test_render_table_of_two_models(sets):
+    real, fakes = sets
+    report = compute_report(real, fakes, max_lag=MAX_LAG, knn_k=KNN_K)
+    m, rows = report.metrics, table_rows(report)
+    assert render_table(report).splitlines()[0].split() == ["band", "rel_err", "ddpm", "wgan"]
+    for band in dsp.canonical_bands(FS):
+        assert rows[band.name] == [f"{m[f'rel_err_{band.name}_{n}']:.6g}" for n in fakes]
+    for key in ("psd_l2", "mmd_r", "cov_frob", "acf_l2", "one_nn_acc", "diversity"):
+        assert rows[key] == [f"{m[f'{key}_{n}']:.6g}" for n in fakes], key
+    assert rows["mmd_ddpm_wgan"] == [f"{m['mmd_ddpm_wgan']:.6g}"]
+    assert rows["diversity_real"] == [f"{m['diversity_real']:.6g}"]
+    for p in ("d", "g"):
+        assert rows[f"{p}_mu_diff"][:C] == [f"{v:+.4g}" for v in m[f"{p}_mu_diff"]]
+        assert rows[f"{p}_mu_diff"][C] == f"({p}_mean_effect={m[f'{p}_mean_effect']:.6g})"
+    assert rows["knn_wgan"][0] == f"macro={m['knn_recovery_wgan']['macro']:.4g}"
+    assert rows["knn_wgan"][-1] == "3:n/a"    # class 3 is absent from the real set
+    assert len(rows["knn_ddpm"]) == 1 + 3
+
+
+def test_render_table_of_one_model_with_the_other_skipped(sets):
+    real, fakes = sets
+    report = compute_report(real, {"ddpm": fakes["ddpm"]}, max_lag=MAX_LAG, knn_k=KNN_K)
+    assert report.metrics["skipped"] == {"wgan": "no window set provided"}
+    table, rows = render_table(report), table_rows(report)
+    assert table.splitlines()[0].split() == ["band", "rel_err", "ddpm"]
+    assert "wgan" not in table and "g_mu_diff" not in rows
+    for band in dsp.canonical_bands(FS):
+        assert rows[band.name] == [f"{report.metrics[f'rel_err_{band.name}_ddpm']:.6g}"]
+    assert rows["mmd_r"] == [f"{report.metrics['mmd_r_ddpm']:.6g}"]
+    assert {"d_mu_diff", "knn_ddpm", "diversity_real"} <= set(rows)
