@@ -9,7 +9,8 @@ Submodules:
     nn          - reverse-mode autodiff, layers, Adam (with weight decay), EMA, checkpoints
     gan         - conditional WGAN-GP with projection critic
     diffusion   - conditional DDPM with FiLM U-Net and guided DDIM sampling
-    training    - what both models share: the training loop, float32 twins, checkpoint reading
+    training    - what both models share: the training loop and what its checkpoints hold,
+                  float32 twins, checkpoint reading
     metrics     - signal-level, distributional and specificity evaluation suite
     config, cli - strict YAML run configuration and command-line entry points
 """

@@ -154,19 +154,19 @@ class ResBlock(Module):
 class UNet1D(Module):
     """Three-level 1D U-Net with skip connections and FiLM conditioning."""
 
-    def __init__(self, n_channels: int, n_classes: int, widths=(64, 128, 256),
-                 cond_dim: int = 128, time_dim: int = 128, groups: int = 8,
-                 rng: np.random.Generator | None = None):
-        w0, w1, w2 = widths
-        for w in widths:
+    def __init__(self, n_channels: int, length: int, n_classes: int,
+                 cfg: DiffusionTrainConfig, rng: np.random.Generator):
+        w0, w1, w2 = cfg.widths
+        cond_dim, groups = cfg.cond_dim, cfg.groups
+        for w in cfg.widths:
             if w % groups != 0:
                 raise ValueError(f"width {w} not divisible by groups {groups}")
         self.n_channels, self.n_classes = n_channels, n_classes
-        self.widths, self.cond_dim, self.time_dim, self.groups = \
-            tuple(widths), cond_dim, time_dim, groups
+        self.sample_length = length     # the window length `sample` draws
+        self.time_dim = cfg.time_dim
         self.null_token = n_classes
 
-        self.time_fc1 = Linear(time_dim, cond_dim, rng)
+        self.time_fc1 = Linear(cfg.time_dim, cond_dim, rng)
         self.time_fc2 = Linear(cond_dim, cond_dim, rng)
         self.class_emb = Embedding(n_classes + 1, cond_dim, rng)
 
@@ -282,8 +282,9 @@ def ddim_timesteps(total_steps: int, num_steps: int) -> np.ndarray:
 
 
 def sample(net, y: np.ndarray, sched: BetaSchedule, cfg: SamplerConfig,
-           rng: np.random.Generator, length: int | None = None) -> np.ndarray:
-    """Deterministic (eta = 0) DDIM sampling with classifier-free guidance.
+           rng: np.random.Generator) -> np.ndarray:
+    """Deterministic (eta = 0) DDIM sampling with classifier-free guidance of
+    windows of the net's ``sample_length``.
 
     Two net evaluations per step (conditional and null) unless w = 1, in which
     case the null branch is skipped entirely. Output lives in the training
@@ -293,10 +294,8 @@ def sample(net, y: np.ndarray, sched: BetaSchedule, cfg: SamplerConfig,
     batch = y.shape[0]
     if y.min() < 0 or y.max() >= net.n_classes:
         raise ValueError(f"class index out of range [0, {net.n_classes})")
-    if length is None:
-        length = net.sample_length
     taus = ddim_timesteps(sched.num_steps, cfg.num_steps)
-    x = rng.standard_normal((batch, net.n_channels, length))
+    x = rng.standard_normal((batch, net.n_channels, net.sample_length))
     null = np.full(batch, net.null_token, dtype=np.int64)
     with no_grad():
         for i, t in enumerate(taus):
@@ -322,7 +321,6 @@ class DiffusionTrainResult:
     history: list[dict] = field(default_factory=list)
     best_step: int = 0
     best_state: dict | None = None
-    best_ema_state: dict | None = None
     stopped_early: bool = False
 
 
@@ -350,8 +348,7 @@ def train_ddpm(
 
     rng = np.random.default_rng(cfg.seed)
     sched = BetaSchedule.linear(cfg.schedule_steps, cfg.beta_start, cfg.beta_end)
-    net = UNet1D(n_ch, n_classes, cfg.widths, cfg.cond_dim, cfg.time_dim, cfg.groups, rng)
-    net.sample_length = length
+    net = UNet1D(n_ch, length, n_classes, cfg, rng)
     params = net.named_parameters()
     opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
     ema = EmaShadow(params, cfg.ema_decay)
@@ -369,31 +366,17 @@ def train_ddpm(
         twin.update(opt.step, lambda: ema.update(params))
         return {"loss": loss.item()}
 
-    def keep() -> None:
-        result.best_state = net.get_state()
-        result.best_ema_state = ema.state()
-
-    def checkpoint(last: bool) -> dict:
-        if last:
-            return {"params": net.get_state(), "optimizer": opt.state_dict(), "ema": ema.state()}
-        return {"params": result.best_state or net.get_state(),
-                "ema": result.best_ema_state or ema.state()}
-
     meta = {"model": "ddpm", "n_channels": n_ch, "length": length, "n_classes": n_classes,
             "train_dtype": np.dtype(TRAIN_DTYPE).name, "config": asdict(cfg)}
     fit("ddpm", result, n, cfg, rng, step, columns=("loss",), monitor="loss",
-        optimizers={"net": opt}, keep=keep, checkpoint=checkpoint, meta=meta, out_dir=out_dir)
+        nets={"net": net}, optimizers={"net": opt}, ema={"net": ema}, meta=meta,
+        out_dir=out_dir)
     return result
 
 
 def load_unet(path: str | Path | Checkpoint) -> tuple[UNet1D, BetaSchedule, dict]:
     """Rebuild the U-Net with its EMA weights (its raw ones if it has none)
     and its schedule from a checkpoint, given its path or its loaded contents."""
-    ck, cfg = read_checkpoint(path, "ddpm", DiffusionTrainConfig)
-    meta = ck.meta
-    net = UNet1D(meta["n_channels"], meta["n_classes"], cfg.widths,
-                 cfg.cond_dim, cfg.time_dim, cfg.groups, np.random.default_rng(0))
-    net.sample_length = meta["length"]
-    net.load_state(ck.ema or ck.params)
+    net, cfg, meta = read_checkpoint(path, "ddpm", UNet1D, DiffusionTrainConfig)
     sched = BetaSchedule.linear(cfg.schedule_steps, cfg.beta_start, cfg.beta_end)
     return net, sched, meta

@@ -225,7 +225,7 @@ class GanTrainResult:
     critic: ProjectionCritic
     history: list[dict] = field(default_factory=list)
     best_step: int = 0
-    best_generator_state: dict | None = None
+    best_state: dict | None = None
     stopped_early: bool = False
 
 
@@ -241,13 +241,14 @@ def train_wgan(
     Per generator step the critic takes ``n_critic`` updates with loss
     E[D(fake)] - E[D(real)] + GP; the generator then minimizes -E[D(fake)]
     (plus the optional spectral term). Losses are logged per step; the best
-    checkpoint is the lowest smoothed absolute generator loss. The batch is
-    ``min(batch_size, n // n_critic)``, so any ``n >= n_critic`` fills a step.
+    state, both nets, is the one at the lowest smoothed absolute generator
+    loss. The batch is ``min(batch_size, n // n_critic)``, so any
+    ``n >= n_critic`` fills a step.
 
     Every forward and backward pass runs in `training.TRAIN_DTYPE` on a
     `training.Twin` of each net; each Adam step runs on the float64 masters.
     ``result.generator``, ``result.critic``, both optimizer states,
-    ``best_generator_state`` and both checkpoints stay float64.
+    ``best_state`` and both checkpoints stay float64.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -305,40 +306,17 @@ def train_wgan(
         return {"d_loss": float(np.mean(d_losses)), "g_loss": g_loss.item(),
                 "gp": float(np.mean(gps)), "spectral": spec_val}
 
-    def keep() -> None:
-        result.best_generator_state = gen.get_state()
-
-    def checkpoint(last: bool) -> dict:
-        """Both hold the last critic; the best one pairs it with the best generator."""
-        params = _namespaced(gen, critic)
-        if last:
-            return {"params": params, "optimizer": opt_g.state_dict()}
-        if result.best_generator_state is not None:
-            params.update({f"generator/{k}": v
-                           for k, v in result.best_generator_state.items()})
-        return {"params": params}
-
     meta = {"model": "wgan", "n_channels": n_ch, "length": length, "n_classes": n_classes,
             "train_dtype": np.dtype(TRAIN_DTYPE).name, "config": asdict(cfg)}
     fit("gan", result, n, cfg, rng, step, columns=("d_loss", "g_loss", "gp", "spectral"),
-        monitor="g_loss", optimizers={"generator": opt_g, "critic": opt_d}, keep=keep,
-        checkpoint=checkpoint, meta=meta, out_dir=out_dir, batches_per_step=cfg.n_critic)
+        monitor="g_loss", nets={"generator": gen, "critic": critic},
+        optimizers={"generator": opt_g, "critic": opt_d}, meta=meta, out_dir=out_dir,
+        batches_per_step=cfg.n_critic)
     return result
-
-
-def _namespaced(gen: GeneratorNet, critic: ProjectionCritic) -> dict[str, np.ndarray]:
-    out = {f"generator/{k}": v for k, v in gen.get_state().items()}
-    out.update({f"critic/{k}": v for k, v in critic.get_state().items()})
-    return out
 
 
 def load_generator(path: str | Path | Checkpoint) -> tuple[GeneratorNet, dict]:
     """Rebuild the generator (best weights) from a checkpoint written by
     train_wgan, given its path or its loaded contents."""
-    ck, cfg = read_checkpoint(path, "wgan", GanTrainConfig)
-    meta = ck.meta
-    gen = GeneratorNet(meta["n_channels"], meta["length"], meta["n_classes"],
-                       cfg, np.random.default_rng(0))
-    gen.load_state({k[len("generator/"):]: v for k, v in ck.params.items()
-                    if k.startswith("generator/")})
+    gen, _, meta = read_checkpoint(path, "wgan", GeneratorNet, GanTrainConfig, "generator")
     return gen, meta

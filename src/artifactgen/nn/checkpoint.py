@@ -1,10 +1,12 @@
-"""Versioned binary checkpoint container.
+"""Versioned binary checkpoint container: named float64 arrays and a JSON header.
 
-Layout: magic "AGCK", u32 version, u32 header length, JSON header, then the
-raw float64 little-endian array payloads in header order. Arrays cover model
-parameters, optimizer moments and the EMA shadow; scalars (step, optimizer
-counters, hyperparameters, metadata) live in the JSON header. No timestamps
-are stored, so identical runs produce byte-identical checkpoints.
+Layout (version 2): magic "AGCK", u32 version, u32 header length, the JSON
+header ``{"arrays": [{"key", "shape"}, ...], "meta": {...}, "step": int}``,
+then the raw float64 little-endian payload of each array in header order
+(keys sorted). The container gives the keys and ``meta`` no meaning; the
+writer does (`training.fit`). No timestamps are stored, so identical runs
+produce byte-identical checkpoints. Version 1 files, with their fixed
+params/optimizer/ema sections, are refused.
 
 Writes are atomic: the bytes go to a temporary file beside the target, which
 then replaces it, so a crash leaves either the old file or the new one.
@@ -24,26 +26,16 @@ import numpy as np
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "atomic_open"]
 
 MAGIC = b"AGCK"
-VERSION = 1
+VERSION = 2
 
 _PREAMBLE = struct.Struct("<4sII")
 
 
 @dataclass
 class Checkpoint:
-    params: dict[str, np.ndarray]
+    arrays: dict[str, np.ndarray]
     step: int = 0
-    optimizer: dict | None = None     # {"t": int, "hyper": {...}, "m": {...}, "v": {...}}
-    ema: dict[str, np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
-
-
-def _coerce(arrays: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for k, v in arrays.items():
-        data = v.data if hasattr(v, "data") and isinstance(getattr(v, "data"), np.ndarray) else v
-        out[k] = np.asarray(data, dtype=np.float64)
-    return out
 
 
 @contextmanager
@@ -60,26 +52,11 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
-def save_checkpoint(
-    path: str | Path,
-    params: dict,
-    step: int = 0,
-    optimizer: dict | None = None,
-    ema: dict | None = None,
-    meta: dict | None = None,
-) -> None:
-    params = _coerce(params)
-    arrays: dict[str, np.ndarray] = {f"params/{k}": v for k, v in params.items()}
-    header: dict = {"step": int(step), "meta": meta or {}}
-    if optimizer is not None:
-        header["optimizer"] = {"t": int(optimizer["t"]), "hyper": optimizer["hyper"]}
-        arrays.update({f"optim/m/{k}": v for k, v in _coerce(optimizer["m"]).items()})
-        arrays.update({f"optim/v/{k}": v for k, v in _coerce(optimizer["v"]).items()})
-    if ema is not None:
-        arrays.update({f"ema/{k}": v for k, v in _coerce(ema).items()})
-
+def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], step: int = 0,
+                    meta: dict | None = None) -> None:
     keys = sorted(arrays)
-    header["arrays"] = [{"key": k, "shape": list(arrays[k].shape)} for k in keys]
+    header = {"step": int(step), "meta": meta or {},
+              "arrays": [{"key": k, "shape": list(np.shape(arrays[k]))} for k in keys]}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with atomic_open(path) as f:
         f.write(_PREAMBLE.pack(MAGIC, VERSION, len(blob)))
@@ -98,7 +75,8 @@ def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
     if magic != MAGIC:
         raise ValueError(f"{name}: bad magic {magic!r}")
     if version != VERSION:
-        raise ValueError(f"{name}: unsupported checkpoint version {version}")
+        raise ValueError(f"{name}: unsupported checkpoint version {version} "
+                         f"(this build reads version {VERSION})")
     pos = _PREAMBLE.size + hlen
     header = json.loads(raw[_PREAMBLE.size: pos].decode())
     arrays: dict[str, np.ndarray] = {}
@@ -109,19 +87,4 @@ def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
             raise ValueError(f"{name}: truncated payload for {spec['key']}")
         arrays[spec["key"]] = np.frombuffer(raw, "<f8", count, pos).reshape(shape).copy()
         pos += 8 * count
-
-    def collect(prefix: str) -> dict[str, np.ndarray]:
-        plen = len(prefix)
-        return {k[plen:]: v for k, v in arrays.items() if k.startswith(prefix)}
-
-    optimizer = None
-    if "optimizer" in header:
-        optimizer = {
-            "t": header["optimizer"]["t"],
-            "hyper": header["optimizer"]["hyper"],
-            "m": collect("optim/m/"),
-            "v": collect("optim/v/"),
-        }
-    ema = collect("ema/") or None
-    return Checkpoint(params=collect("params/"), step=int(header["step"]),
-                      optimizer=optimizer, ema=ema, meta=header.get("meta", {}))
+    return Checkpoint(arrays=arrays, step=int(header["step"]), meta=header["meta"])

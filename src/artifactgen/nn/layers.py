@@ -54,10 +54,6 @@ class Module:
                     out[key] = value
             elif isinstance(value, Module):
                 out.update(value.named_parameters(f"{key}."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.update(item.named_parameters(f"{key}.{i}."))
         return out
 
     def parameters(self) -> list[Tensor]:

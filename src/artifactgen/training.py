@@ -1,8 +1,9 @@
 """What both models share: `fit`, the training loop (a seeded permutation per
 epoch, the divergence check, best tracking on the smoothed monitored loss,
-early stopping, and the loss CSV with the last and best checkpoints); `Twin`,
-the `TRAIN_DTYPE` copy each net computes on while its float64 master weights
-take the optimizer steps; and `read_checkpoint`, which both loaders call."""
+early stopping, and what the loss CSV and the last and best checkpoints
+hold); `Twin`, the `TRAIN_DTYPE` copy each net computes on while its float64
+master weights take the optimizer steps; and `read_checkpoint`, which both
+loaders call."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import Adam, Module, Tensor, save_checkpoint
+from .nn import Adam, EmaShadow, Module, Tensor, save_checkpoint
 from .nn.checkpoint import Checkpoint, atomic_open, load_checkpoint
 
 __all__ = ["TRAIN_DTYPE", "TrainingDiverged", "Twin", "fit", "read_checkpoint"]
@@ -66,24 +67,53 @@ class Twin:
 
 def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
         step: Callable[[list[np.ndarray]], dict[str, float]], *, columns: tuple[str, ...],
-        monitor: str, optimizers: dict[str, Adam], keep: Callable[[], None],
-        checkpoint: Callable[[bool], dict], meta: dict, out_dir: str | Path | None,
+        monitor: str, nets: dict[str, Module], optimizers: dict[str, Adam],
+        ema: dict[str, EmaShadow] | None = None, meta: dict, out_dir: str | Path | None,
         batches_per_step: int = 1) -> None:
     """Train for ``cfg.epochs`` epochs, filling ``result.history``,
-    ``result.best_step`` and ``result.stopped_early``.
+    ``result.best_step``, ``result.best_state`` and ``result.stopped_early``.
 
     Each epoch cuts a permutation of ``n`` from ``rng`` into batches of
     ``min(cfg.batch_size, n // batches_per_step)``, so that ``n`` holds at least one
     step, and hands ``step`` ``batches_per_step`` of them at a time; short tails
-    are dropped. ``step`` returns the loss terms named in
-    ``columns``. ``keep()`` stores the model's state whenever the mean absolute
-    ``monitor`` over the last ``cfg.smooth_window`` steps reaches a new low. With
-    ``out_dir`` the run writes ``<model>_losses.csv``, ``<model>_last.ckpt``
-    holding ``checkpoint(True)`` and ``<model>_best.ckpt`` holding ``checkpoint(False)``.
+    are dropped. ``step`` returns the loss terms named in ``columns``.
+
+    ``nets``, the ``optimizers`` and the ``ema`` shadows are the run's state,
+    each under a name (an optimizer or a shadow under its net's). Whenever the
+    mean absolute ``monitor`` over the last ``cfg.smooth_window`` steps reaches
+    a new low, ``result.best_state`` takes a copy of every net and shadow.
+    With ``out_dir`` the run writes, at the end of every epoch (and once when
+    ``cfg.epochs`` is 0), ``<model>_losses.csv``, ``<model>_last.ckpt`` and
+    ``<model>_best.ckpt``, so a crash in an epoch leaves the files of the one
+    before. Checkpoint arrays are named ``params/<net>/<parameter>`` and
+    ``ema/<net>/<parameter>``; ``last`` also holds ``m/<net>/<parameter>`` and
+    ``v/<net>/<parameter>``, the moments of each optimizer, whose ``t`` and
+    hyperparameters go into its meta under ``"optimizers"``. ``best`` holds the
+    best state, or the state before any step.
     """
+    ema = ema or {}
     best = np.inf
     epochs_since_best = 0
     bsz = min(cfg.batch_size, n // batches_per_step)
+
+    def write() -> None:
+        path = Path(out_dir)
+        path.mkdir(parents=True, exist_ok=True)
+        with atomic_open(path / f"{model}_losses.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["step", *columns])
+            for row in result.history:
+                w.writerow([row["step"], *(repr(row[c]) for c in columns)])
+        last, scalars = _weights(nets, ema), {}
+        for name, opt in optimizers.items():
+            scalars[name] = opt.state_dict()
+            for moment in ("m", "v"):
+                last.update({f"{moment}/{name}/{k}": v
+                             for k, v in scalars[name].pop(moment).items()})
+        save_checkpoint(path / f"{model}_last.ckpt", last, step=len(result.history),
+                        meta={**meta, "optimizers": scalars})
+        save_checkpoint(path / f"{model}_best.ckpt", result.best_state or _weights(nets, ema),
+                        step=result.best_step, meta=meta)
 
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -105,9 +135,11 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
             if smoothed < best:
                 best = smoothed
                 result.best_step = row["step"]
-                keep()
+                result.best_state = {k: v.copy() for k, v in _weights(nets, ema).items()}
                 improved_this_epoch = True
 
+        if out_dir is not None:
+            write()
         if improved_this_epoch:
             epochs_since_best = 0
         else:
@@ -116,26 +148,38 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
                 result.stopped_early = True
                 break
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out_dir / f"{model}_losses.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", *columns])
-            for row in result.history:
-                w.writerow([row["step"], *(repr(row[c]) for c in columns)])
-        save_checkpoint(out_dir / f"{model}_last.ckpt", step=len(result.history), meta=meta,
-                        **checkpoint(True))
-        save_checkpoint(out_dir / f"{model}_best.ckpt", step=result.best_step, meta=meta,
-                        **checkpoint(False))
+    if out_dir is not None and cfg.epochs < 1:
+        write()
 
 
-def read_checkpoint(path: str | Path | Checkpoint, model: str,
-                    config_cls) -> tuple[Checkpoint, object]:
-    """The checkpoint at ``path`` (or ``path`` itself, already loaded) and the
-    ``config_cls`` it was trained with; ValueError unless ``model`` wrote it."""
+def _weights(nets: dict[str, Module], ema: dict[str, EmaShadow]) -> dict[str, np.ndarray]:
+    """The live arrays of every net's parameters and every EMA shadow, named
+    as in the checkpoints."""
+    out = {f"params/{name}/{k}": p.data
+           for name, net in nets.items() for k, p in net.named_parameters().items()}
+    out.update({f"ema/{name}/{k}": v
+                for name, shadow in ema.items() for k, v in shadow.shadow.items()})
+    return out
+
+
+def read_checkpoint(path: str | Path | Checkpoint, model: str, net_cls, config_cls,
+                    net: str = "net") -> tuple[Module, object, dict]:
+    """The net named ``net`` in the checkpoint at ``path`` (or ``path`` itself,
+    already loaded), rebuilt as a float64 ``net_cls`` with its EMA weights if
+    the checkpoint holds them, else its parameters; with the ``config_cls`` it
+    was trained with and the checkpoint's meta. ValueError unless ``model``
+    wrote it."""
     ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
-    if ck.meta.get("model") != model:
+    meta = ck.meta
+    if meta.get("model") != model:
         raise ValueError(f"{'checkpoint' if ck is path else path}: "
                          f"not a {model.upper()} checkpoint")
-    return ck, config_cls(**ck.meta["config"])
+    cfg = config_cls(**meta["config"])
+    built = net_cls(meta["n_channels"], meta["length"], meta["n_classes"], cfg,
+                    np.random.default_rng(0))
+
+    def section(prefix: str) -> dict[str, np.ndarray]:
+        return {k[len(prefix):]: v for k, v in ck.arrays.items() if k.startswith(prefix)}
+
+    built.load_state(section(f"ema/{net}/") or section(f"params/{net}/"))
+    return built, cfg, meta

@@ -2,8 +2,8 @@
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
 and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
 sampling that writes the bytes of one batch, the seed's precedence, and the
-config rejections, refused samplings (bad arguments, a used --out) and refused
-evaluations that must exit with code 2."""
+config rejections, refused samplings (bad arguments, a used --out, an old
+checkpoint version) and refused evaluations that must exit with code 2."""
 
 import builtins
 import hashlib
@@ -122,6 +122,20 @@ def test_sample_refuses_before_it_writes(checkpoints, tmp_path, capsys, model, a
     assert run("sample", "--checkpoint", checkpoints[model], *args, "--steps", 2,
                "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_sample_refuses_a_version_1_checkpoint(checkpoints, tmp_path, capsys, model):
+    """A checkpoint of the old fixed-section layout is refused by its version."""
+    raw = bytearray(checkpoints[model].read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(bytes(raw))
+    out = tmp_path / "fake"
+    assert run("sample", "--checkpoint", old, "--class", 0, "--num", 2, "--steps", 2,
+               "--out", out) == 2
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from artifactgen.diffusion import (
     sinusoidal_embedding,
     train_ddpm,
 )
-from artifactgen.nn import Adam, EmaShadow, Tensor, backward, grad, no_grad
+from artifactgen.nn import Adam, EmaShadow, Tensor, backward, grad, load_checkpoint, no_grad
 from artifactgen.training import TrainingDiverged
 from artifactgen.nn import GroupNorm
 from test_layers import composite_group_norm
@@ -29,8 +29,8 @@ SCHED = BetaSchedule.linear(100)
 
 
 def tiny_unet(n_channels=2, n_classes=2, seed=0):
-    return UNet1D(n_channels, n_classes, widths=(4, 8, 8), cond_dim=8, time_dim=8,
-                  groups=2, rng=np.random.default_rng(seed))
+    cfg = DiffusionTrainConfig(widths=(4, 8, 8), cond_dim=8, time_dim=8, groups=2)
+    return UNet1D(n_channels, 8, n_classes, cfg, np.random.default_rng(seed))
 
 
 class OracleEpsNet:
@@ -195,7 +195,6 @@ class TestSampler:
 
     def test_seed_determinism_and_variation(self):
         net = tiny_unet()
-        net.sample_length = 8
         cfg = SamplerConfig(num_steps=4, guidance_scale=1.5)
         a = sample(net, np.array([0, 1]), SCHED, cfg, np.random.default_rng(11))
         b = sample(net, np.array([0, 1]), SCHED, cfg, np.random.default_rng(11))
@@ -205,7 +204,6 @@ class TestSampler:
 
     def test_class_range_validated(self):
         net = tiny_unet()
-        net.sample_length = 8
         with pytest.raises(ValueError, match="class index"):
             sample(net, np.array([2]), SCHED, SamplerConfig(num_steps=2),
                    np.random.default_rng(0))
@@ -404,8 +402,9 @@ class TestTrainDdpm:
         assert (tmp_path / "ddpm_losses.csv").exists()
         net, sched, meta = load_unet(tmp_path / "ddpm_best.ckpt")
         assert sched.num_steps == cfg.schedule_steps
+        assert net.sample_length == 8
         for k, v in net.get_state().items():
-            assert np.array_equal(v, result.best_ema_state[k])
+            assert np.array_equal(v, result.best_state[f"ema/net/{k}"])
 
     def test_nan_aborts_with_snapshot(self, monkeypatch):
         # the third loss goes NaN in value only, so its gradients stay finite
@@ -428,6 +427,30 @@ class TestTrainDdpm:
         norms = list(snap["grad_norms"]["net"].values())
         assert all(np.isfinite(norms)) and any(v != 0.0 for v in norms)
 
+    def test_divergence_in_epoch_2_leaves_the_files_of_epoch_1(self, tmp_path, monkeypatch):
+        data, labels = self.toy_data()            # 4 steps per epoch
+        train_ddpm(data, labels, 2, self.small_cfg(epochs=1), out_dir=tmp_path / "one")
+        real_loss = diffusion_mod.denoise_loss
+        calls = []
+
+        def nan_sixth_loss(*args, **kwargs):
+            calls.append(None)
+            loss = real_loss(*args, **kwargs)
+            return loss + Tensor(np.nan) if len(calls) == 6 else loss
+
+        monkeypatch.setattr(diffusion_mod, "denoise_loss", nan_sixth_loss)
+        with pytest.raises(TrainingDiverged):
+            train_ddpm(data, labels, 2, self.small_cfg(epochs=2), out_dir=tmp_path / "two")
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert sorted(p.name for p in two.iterdir()) == [
+            "ddpm_best.ckpt", "ddpm_last.ckpt", "ddpm_losses.csv"]
+        rows = (two / "ddpm_losses.csv").read_text().splitlines()
+        assert len(rows) == 5 and rows == (one / "ddpm_losses.csv").read_text().splitlines()
+        for name in ("ddpm_last.ckpt", "ddpm_best.ckpt"):
+            want, got = load_checkpoint(one / name), load_checkpoint(two / name)
+            assert got.step == want.step and got.arrays.keys() == want.arrays.keys()
+            assert all(np.array_equal(v, want.arrays[k]) for k, v in got.arrays.items()), name
+
     def test_ema_evaluated_loss_is_smoother(self):
         # fixed validation draw, noisy-plateau regime (high lr, small batch):
         # step-to-step variation then comes only from the weights, which the
@@ -436,12 +459,11 @@ class TestTrainDdpm:
         cfg = self.small_cfg(lr=2e-2, batch_size=4)
         rng = np.random.default_rng(cfg.seed)
         sched = BetaSchedule.linear(cfg.schedule_steps)
-        net = UNet1D(2, 2, cfg.widths, cfg.cond_dim, cfg.time_dim, cfg.groups, rng)
+        net = UNet1D(2, 8, 2, cfg, rng)
         params = net.named_parameters()
         opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
         ema = EmaShadow(params, decay=0.9)
-        ema_net = UNet1D(2, 2, cfg.widths, cfg.cond_dim, cfg.time_dim, cfg.groups,
-                         np.random.default_rng(0))
+        ema_net = UNet1D(2, 8, 2, cfg, np.random.default_rng(0))
 
         live_curve, ema_curve = [], []
         for step in range(300):

@@ -139,9 +139,8 @@ def test_float32_saturation_raises_no_warning():
 
 
 def _unet(rng):
-    net = diffusion.UNet1D(3, 4, widths=(8, 16, 16), cond_dim=8, time_dim=8, groups=4, rng=rng)
-    net.sample_length = 22
-    return net
+    cfg = diffusion.DiffusionTrainConfig(widths=(8, 16, 16), cond_dim=8, time_dim=8, groups=4)
+    return diffusion.UNet1D(3, 22, 4, cfg, rng)
 
 
 def test_unet_and_generator_run_in_float32_end_to_end():
@@ -382,7 +381,7 @@ def test_twin_gradients_agree_with_float64():
     zero-initialised FiLM path), the float32 twin's loss and gradients agree
     with the float64 net's."""
     rng = np.random.default_rng(0)
-    net = diffusion.UNet1D(8, 5, rng=rng)
+    net = diffusion.UNet1D(8, 250, 5, diffusion.DiffusionTrainConfig(), rng)
     for p in net.parameters():
         p.data = p.data + 0.02 * rng.standard_normal(p.data.shape)
     x0, y = rng.standard_normal((16, 8, 250)), rng.integers(0, 5, 16)

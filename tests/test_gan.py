@@ -15,10 +15,15 @@ from artifactgen.gan import (
     spectral_l1,
     train_wgan,
 )
-from artifactgen.nn import Tensor, no_grad
+from artifactgen.nn import Adam, Tensor, load_checkpoint, no_grad
 from artifactgen.training import TrainingDiverged
 
 C, L, K = 3, 50, 2
+
+
+def section(arrays, prefix):
+    """The arrays under ``prefix`` of a checkpoint's names, without it."""
+    return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
 
 
 def small_cfg(**kw):
@@ -294,10 +299,52 @@ class TestTrainLoop:
         with no_grad():
             ours = gen(z, y).data
         best = GeneratorNet(C, L, K, cfg, np.random.default_rng(0))
-        best.load_state(result.best_generator_state)
+        best.load_state(section(result.best_state, "params/generator/"))
         with no_grad():
             expected = best(z, y).data
         assert np.array_equal(ours, expected)
+
+    def test_best_checkpoint_holds_both_nets_of_the_best_step(self, tmp_path):
+        data, labels = toy_windows(32)
+        result = train_wgan(data, labels, K, small_cfg(epochs=3), out_dir=tmp_path)
+        assert result.best_step < len(result.history)
+        ck = load_checkpoint(tmp_path / "gan_best.ckpt")
+        assert ck.step == result.best_step
+        assert ck.arrays.keys() == result.best_state.keys()
+        assert all(np.array_equal(v, result.best_state[k]) for k, v in ck.arrays.items())
+        critic = section(ck.arrays, "params/critic/")
+        assert critic.keys() == result.critic.named_parameters().keys()
+        assert not np.array_equal(critic["conv1.weight"], result.critic.conv1.weight.data)
+
+    def test_last_checkpoint_restores_both_optimizers(self, tmp_path, monkeypatch):
+        """`gan_last.ckpt` holds the generator's and the critic's Adam: each
+        one rebuilt from it has the trained m, v, t and hyperparameters."""
+        trained = {}
+
+        class RecordingAdam(Adam):
+            def __init__(self, params, *args, **kwargs):
+                super().__init__(params, *args, **kwargs)
+                trained[len(trained)] = self
+
+        monkeypatch.setattr(gan_mod, "Adam", RecordingAdam)
+        data, labels = toy_windows(16)
+        cfg = small_cfg(epochs=2)
+        result = train_wgan(data, labels, K, cfg, out_dir=tmp_path)
+        ck = load_checkpoint(tmp_path / "gan_last.ckpt")
+        assert ck.step == len(result.history)
+        nets = {"generator": result.generator, "critic": result.critic}
+        for (name, net), want in zip(nets.items(), trained.values()):
+            restored = Adam(net.named_parameters(), lr=1.0)
+            restored.load_state_dict({**ck.meta["optimizers"][name],
+                                      "m": section(ck.arrays, f"m/{name}/"),
+                                      "v": section(ck.arrays, f"v/{name}/")})
+            assert restored.state_dict()["hyper"] == want.state_dict()["hyper"]
+            assert restored.m.keys() == want.m.keys() == net.named_parameters().keys()
+            for k in want.m:
+                assert np.array_equal(restored.m[k], want.m[k]), (name, k)
+                assert np.array_equal(restored.v[k], want.v[k]), (name, k)
+        assert trained[1].t == cfg.n_critic * trained[0].t == cfg.n_critic * len(result.history)
+        assert [ck.meta["optimizers"][k]["t"] for k in nets] == [trained[0].t, trained[1].t]
 
     def test_spectral_term_logged_when_enabled(self):
         data, labels = toy_windows(16)
