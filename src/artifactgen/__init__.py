@@ -2,9 +2,10 @@
 
 Submodules:
     dsp         - Welch PSD, band power, ACF, channel covariance
-    windowing   - recordings -> fixed-length labeled windows
-    normalize   - per-window min-max and per-recording z-score
-    manifest    - AGW1 window files, JSON manifests, split/class-map CSVs
+    windowing   - recordings -> (N, C, L) arrays of fixed-length labeled windows
+    normalize   - per-window min-max and per-recording z-score, with their stats
+    manifest    - AGW1 window files; version-2 JSON manifests (one normalization
+                  scheme per set, per-window stats); split/class-map CSVs
     synthetic   - parametric labeled artifact corpus for oracle testing
     nn          - reverse-mode autodiff, layers, Adam (with weight decay), EMA, checkpoints
     gan         - conditional WGAN-GP with projection critic

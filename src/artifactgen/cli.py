@@ -100,12 +100,12 @@ def _utcnow() -> str:
 
 
 def _require_scheme(model: str, manifest: Manifest, what: str) -> None:
-    required, schemes = MODEL_SCHEME[model], manifest.norm_schemes()
-    if schemes != {required}:
+    required = MODEL_SCHEME[model]
+    if manifest.scheme != required:
         raise ConfigError(
             f"{what} requires '{required}' windows (per-window min-max pairs with the "
             f"adversarial path, per-recording z-score with the diffusion path); manifest "
-            f"has {sorted(schemes)}")
+            f"has '{manifest.scheme}'")
 
 
 def _auto_split(subjects: list[str]) -> dict[str, str]:
@@ -133,32 +133,35 @@ def cmd_curate(args) -> int:
             raise ConfigError(f"no .npz recordings found in {args.input}")
         recordings = [recording_from_npz(p) for p in paths]
 
-    subjects = [r.subject_id for r in recordings]
-    split_of = read_split_csv(args.split_csv) if args.split_csv else _auto_split(subjects)
+    split_of = (read_split_csv(args.split_csv) if args.split_csv
+                else _auto_split([r.subject_id for r in recordings]))
 
-    windows = []
+    scheme = cfg.data.normalization
+    windows, labels, subjects, stats = [], [], [], []
     rejections: list[str] = []
     for rec in recordings:
-        if cfg.data.normalization == ZSCORE_RECORDING:
-            rec_norm, meta = zscore_normalize(rec)
-            ws = extract_windows(rec_norm, cfg.data.window_seconds, cfg.data.overlap,
-                                 class_map, cfg.data.channels, rejections)
-            for w in ws:
-                w.norm = meta
-            windows.extend(ws)
+        if scheme == ZSCORE_RECORDING:
+            rec, rec_stats = zscore_normalize(rec)
+        x, y = extract_windows(rec, cfg.data.window_seconds, cfg.data.overlap,
+                               class_map, cfg.data.channels, rejections)
+        if scheme == MINMAX_WINDOW:
+            x, m, big = minmax_normalize(x)
+            stats += [{"m": a, "M": b} for a, b in zip(m.tolist(), big.tolist())]
         else:
-            ws = extract_windows(rec, cfg.data.window_seconds, cfg.data.overlap,
-                                 class_map, cfg.data.channels, rejections)
-            windows.extend(minmax_normalize(w)[0] for w in ws)
+            stats += [rec_stats] * len(x)
+        # views into each recording's array: concatenated, the set would be in
+        # memory twice while its files are written
+        windows.extend(x)
+        labels.extend(y)
+        subjects += [rec.subject_id] * len(x)
 
     if not windows:
         raise ConfigError("curation produced no windows")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = write_windows(windows, out_dir, split_of, cfg.hash(), seed, class_map)
+    manifest = write_windows(windows, labels, subjects, stats, out_dir, split_of, cfg.hash(),
+                             seed, class_map, scheme)
     manifest.save(out_dir / "manifest.json")
     report = validate_split(manifest)
-    write_split_csv(out_dir / "split.csv",
-                    {s: split_of[s] for s in set(w.subject_id for w in windows)})
+    write_split_csv(out_dir / "split.csv", {s: split_of[s] for s in set(subjects)})
     write_class_map_csv(out_dir / "class_map.csv", class_map)
     _write_run_record(out_dir, "curate", cfg.hash(), seed, started)
 
@@ -300,7 +303,7 @@ def cmd_evaluate(args) -> int:
     welch = WelchSettings(nperseg=cfg.eval.nperseg, overlap=cfg.eval.overlap)
     report = compute_report(
         real, fakes, welch=welch, max_lag=cfg.eval.max_lag, knn_k=cfg.eval.knn_k,
-        normalization="+".join(sorted(manifest.norm_schemes())),
+        normalization=manifest.scheme,
         seeds={"seed": seed, "manifest_seed": manifest.seed},
     )
     out_path = Path(args.out) if args.out else Path(cfg.output_dir) / "report.json"

@@ -16,7 +16,7 @@ import yaml
 from .gan import GanTrainConfig
 from .diffusion import DiffusionTrainConfig
 from .manifest import config_hash
-from .normalize import MINMAX_WINDOW, ZSCORE_RECORDING
+from .normalize import MINMAX_WINDOW, SCHEMES
 from .windowing import CANONICAL_CHANNELS
 
 __all__ = ["ConfigError", "DataConfig", "EvalConfig", "RunConfig", "load_config"]
@@ -36,10 +36,9 @@ class DataConfig:
 
     def __post_init__(self):
         self.channels = tuple(self.channels)
-        if self.normalization not in (MINMAX_WINDOW, ZSCORE_RECORDING):
-            raise ConfigError(
-                f"data.normalization must be '{MINMAX_WINDOW}' or '{ZSCORE_RECORDING}', "
-                f"got '{self.normalization}'")
+        if self.normalization not in SCHEMES:
+            raise ConfigError(f"data.normalization must be one of {SCHEMES}, "
+                              f"got '{self.normalization}'")
         if not 0.0 <= self.overlap < 1.0:
             raise ConfigError("data.overlap must be in [0, 1)")
 

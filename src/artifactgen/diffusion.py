@@ -133,7 +133,8 @@ class ResBlock(Module):
     the block matches its unconditioned counterpart exactly.
     """
 
-    def __init__(self, width: int, cond_dim: int, groups: int, rng: np.random.Generator):
+    def __init__(self, width: int, cond_dim: int, groups: int,
+                 rng: np.random.Generator | None):
         self.width = width
         self.norm1 = GroupNorm(groups, width)
         self.conv1 = Conv1d(width, width, 3, 1, 1, rng)
@@ -155,7 +156,7 @@ class UNet1D(Module):
     """Three-level 1D U-Net with skip connections and FiLM conditioning."""
 
     def __init__(self, n_channels: int, length: int, n_classes: int,
-                 cfg: DiffusionTrainConfig, rng: np.random.Generator):
+                 cfg: DiffusionTrainConfig, rng: np.random.Generator | None):
         w0, w1, w2 = cfg.widths
         cond_dim, groups = cfg.cond_dim, cfg.groups
         for w in cfg.widths:

@@ -91,7 +91,7 @@ class GeneratorNet(Module):
     """z (+ one-hot y) -> linear seed -> two transposed convs -> refine -> tanh head."""
 
     def __init__(self, n_channels: int, length: int, n_classes: int,
-                 cfg: GanTrainConfig, rng: np.random.Generator):
+                 cfg: GanTrainConfig, rng: np.random.Generator | None):
         if length % 10 != 0:
             raise ValueError(f"generator needs length divisible by 10, got {length}")
         ch = cfg.channels

@@ -1,9 +1,11 @@
 """Window files, manifests, split and class-map CSVs.
 
 Window binary format "AGW1": magic, little-endian u32 C, u32 L, u32 label,
-then C*L float32 values channel-major. The manifest is a JSON document binding
-window paths to labels, subjects, splits and normalization stats, hashed
-against the run configuration for reproducibility.
+then C*L float32 values channel-major, one file per window. The manifest
+(version 2) is a JSON document with the run's config hash and seed, the class
+map, one top-level ``"normalization": {"scheme", "eps"}`` for the whole set,
+and one entry per window: its ``path``, ``label``, ``subject``, ``split`` and
+the normalization ``stats`` that invert it. Other versions are refused.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import hashlib
 import json
 import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .normalize import NormMeta
-from .windowing import ClassMap, Window
+from .normalize import EPS, SCHEMES
+from .windowing import ClassMap
 
 __all__ = [
     "MAGIC",
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 MAGIC = b"AGW1"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
 
 _HEADER = struct.Struct("<4sIII")
@@ -81,17 +84,16 @@ class ManifestEntry:
     label: int
     subject: str
     split: str
-    length: int
-    norm: dict
+    stats: dict
 
     def to_dict(self) -> dict:
         return {"path": self.path, "label": self.label, "subject": self.subject,
-                "split": self.split, "L": self.length, "norm": self.norm}
+                "split": self.split, "stats": self.stats}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ManifestEntry":
         return cls(path=d["path"], label=int(d["label"]), subject=d["subject"],
-                   split=d["split"], length=int(d["L"]), norm=dict(d["norm"]))
+                   split=d["split"], stats=dict(d["stats"]))
 
 
 @dataclass
@@ -99,15 +101,16 @@ class Manifest:
     config_hash: str
     seed: int
     class_map: ClassMap
+    scheme: str
     entries: list[ManifestEntry] = field(default_factory=list)
-    version: int = MANIFEST_VERSION
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": MANIFEST_VERSION,
             "config_hash": self.config_hash,
             "seed": self.seed,
             "class_map": self.class_map.as_pairs(),
+            "normalization": {"scheme": self.scheme, "eps": EPS},
             "entries": [e.to_dict() for e in self.entries],
         }
 
@@ -120,6 +123,13 @@ class Manifest:
     def load(cls, path: str | Path) -> "Manifest":
         with open(path) as f:
             d = json.load(f)
+        if d.get("version") != MANIFEST_VERSION:
+            raise ValueError(f"{path}: unsupported manifest version {d.get('version')}; "
+                             f"curate the dataset again to write version {MANIFEST_VERSION}")
+        norm = d.get("normalization", {})
+        if norm.get("scheme") not in SCHEMES or norm.get("eps") != EPS:
+            raise ValueError(f"{path}: unknown normalization {norm}; expected a scheme "
+                             f"in {SCHEMES} with eps {EPS}")
         pairs = sorted(d["class_map"], key=lambda p: p[1])
         if [i for _, i in pairs] != list(range(len(pairs))):
             raise ValueError("class map indices must be 0..K-1")
@@ -127,12 +137,9 @@ class Manifest:
             config_hash=d["config_hash"],
             seed=int(d["seed"]),
             class_map=ClassMap(tuple(n for n, _ in pairs)),
+            scheme=norm["scheme"],
             entries=[ManifestEntry.from_dict(e) for e in d["entries"]],
-            version=int(d["version"]),
         )
-
-    def norm_schemes(self) -> set[str]:
-        return {e.norm.get("scheme", "none") for e in self.entries}
 
 
 class SplitViolation(ValueError):
@@ -232,27 +239,35 @@ def read_class_map_csv(path: str | Path) -> ClassMap:
 
 
 def write_windows(
-    windows: list[Window],
+    windows: Sequence[np.ndarray],
+    labels: Sequence[int],
+    subjects: list[str],
+    stats: list[dict],
     out_dir: str | Path,
     split_of: dict[str, str],
     cfg_hash: str,
     seed: int,
     class_map: ClassMap,
+    scheme: str,
 ) -> Manifest:
-    """Write windows as AGW1 files under ``out_dir`` and build the manifest."""
+    """Write each (C, L) window (a list of them, or an (N, C, L) array) as an
+    AGW1 file under ``out_dir`` and build the manifest: window i has
+    ``labels[i]``, ``subjects[i]`` and ``stats[i]``, and all of them were
+    normalized by ``scheme``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, w in enumerate(windows):
-        split = split_of.get(w.subject_id)
+    for i, (window, label, subject, window_stats) in enumerate(
+            zip(windows, map(int, labels), subjects, stats, strict=True)):
+        split = split_of.get(subject)
         if split is None:
-            raise ValueError(f"subject '{w.subject_id}' missing from split assignment")
+            raise ValueError(f"subject '{subject}' missing from split assignment")
         name = f"w{i:06d}.agw"
-        write_window_file(out_dir / name, w.data, w.label)
-        norm = w.norm.to_dict() if isinstance(w.norm, NormMeta) else {"scheme": "none"}
-        entries.append(ManifestEntry(path=name, label=w.label, subject=w.subject_id,
-                                     split=split, length=w.data.shape[1], norm=norm))
-    return Manifest(config_hash=cfg_hash, seed=seed, class_map=class_map, entries=entries)
+        write_window_file(out_dir / name, window, label)
+        entries.append(ManifestEntry(path=name, label=label, subject=subject, split=split,
+                                     stats=window_stats))
+    return Manifest(config_hash=cfg_hash, seed=seed, class_map=class_map, scheme=scheme,
+                    entries=entries)
 
 
 def read_window_stack(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:

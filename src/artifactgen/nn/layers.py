@@ -4,7 +4,9 @@ linear/embedding layers, group normalization fused with SiLU, FiLM and pooling.
 Convolutions use explicit symmetric zero padding; transposed convolutions
 follow L_out = (L_in - 1) * stride + kernel - 2 * padding. Weights initialize
 uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the supplied generator, so
-construction order plus seed fully determines the parameters. A layer's
+construction order plus seed fully determines the parameters; without a
+generator (``rng=None``) they are left uninitialised, for a net whose every
+parameter `Module.load_state` will overwrite. A layer's
 parameters are parameters whatever the grad mode it is built in. They are
 float64; `Module.astype` converts them to float32, and every layer then
 computes in float32 (the dtype rule of `nn.tensor`). Sampling runs float32
@@ -70,9 +72,6 @@ class Module:
             p.data = p.data.astype(dtype)
         return self
 
-    def get_state(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.named_parameters().items()}
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.named_parameters()
         missing = set(params) - set(state)
@@ -94,13 +93,15 @@ def _param(data: np.ndarray) -> Tensor:
     return p
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+def _uniform_init(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
+    if rng is None:
+        return _param(np.empty(shape))
     bound = 1.0 / np.sqrt(fan_in)
     return _param(rng.uniform(-bound, bound, size=shape))
 
 
 class Linear(Module):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None,
                  bias: bool = True, zero_init: bool = False):
         if zero_init:
             self.weight = _param(np.zeros((n_in, n_out)))
@@ -207,9 +208,10 @@ def _batch_columns(t: Tensor) -> Tensor:
 
 
 class Embedding(Module):
-    def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator):
+    def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator | None):
         self.num_embeddings = num_embeddings
-        self.weight = _param(rng.standard_normal((num_embeddings, dim)))
+        shape = (num_embeddings, dim)
+        self.weight = _param(np.empty(shape) if rng is None else rng.standard_normal(shape))
 
     def forward(self, idx: np.ndarray) -> Tensor:
         idx = np.asarray(idx)

@@ -175,8 +175,8 @@ def read_checkpoint(path: str | Path | Checkpoint, model: str, net_cls, config_c
         raise ValueError(f"{'checkpoint' if ck is path else path}: "
                          f"not a {model.upper()} checkpoint")
     cfg = config_cls(**meta["config"])
-    built = net_cls(meta["n_channels"], meta["length"], meta["n_classes"], cfg,
-                    np.random.default_rng(0))
+    # uninitialised: load_state overwrites every parameter or raises
+    built = net_cls(meta["n_channels"], meta["length"], meta["n_classes"], cfg, None)
 
     def section(prefix: str) -> dict[str, np.ndarray]:
         return {k[len(prefix):]: v for k, v in ck.arrays.items() if k.startswith(prefix)}

@@ -3,7 +3,8 @@
 Window length, stride and per-interval window count follow the floor-based
 formulas; boundary fragments shorter than one window are zero-padded (fragment
 at the start, zeros on the right), strided tails are dropped. Recordings that
-do not carry the full required montage are rejected wholesale.
+do not carry the full required montage are rejected wholesale. A recording's
+windows come out as one (N, C, L) float64 array with its (N,) int64 labels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "ClassMap",
     "Annotation",
     "Recording",
-    "Window",
     "window_length",
     "stride",
     "window_count",
@@ -85,19 +85,6 @@ class Recording:
                 raise ValueError(f"annotation [{a.start}, {a.end}) outside recording of length {t}")
 
 
-@dataclass
-class Window:
-    data: np.ndarray                     # (C, L)
-    label: int
-    subject_id: str
-    source: tuple[str, int]              # (recording id, start sample)
-    norm: "object | None" = None         # NormMeta, attached by normalization
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
 # floor of a product computed in floats: guard against results like
 # (1 - 0.9) * 500 = 49.999999999999986 flooring below the exact value
 _FLOOR_GUARD = 1e-9
@@ -137,8 +124,10 @@ def extract_windows(
     class_map: ClassMap,
     required_channels: tuple[str, ...] | None = CANONICAL_CHANNELS,
     rejections: list[str] | None = None,
-) -> list[Window]:
-    """Cut every annotated interval of ``rec`` into labeled windows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut every annotated interval of ``rec`` into labeled windows: an
+    (N, C, L) float64 array, in annotation order and then start order, and its
+    (N,) int64 class indices.
 
     Intervals yielding no full window emit a single zero-padded window instead.
     Unknown labels skip the interval; a montage mismatch rejects the whole
@@ -149,38 +138,28 @@ def extract_windows(
         if rejections is not None:
             rejections.append(msg)
 
-    if required_channels is not None and tuple(rec.channel_names) != tuple(required_channels):
-        missing = set(required_channels) - set(rec.channel_names)
-        detail = f"missing {sorted(missing)}" if missing else "channel order mismatch"
-        reject(f"recording {rec.rec_id or rec.subject_id}: montage rejected ({detail})")
-        return []
-
     length = window_length(window_seconds, rec.fs)
     step = stride(length, overlap)
     n_chan = rec.data.shape[0]
 
-    windows: list[Window] = []
-    for ann in rec.annotations:
-        if ann.label not in class_map:
-            reject(f"recording {rec.rec_id or rec.subject_id}: unknown label '{ann.label}' "
-                   f"in [{ann.start}, {ann.end})")
-            continue
-        label_idx = class_map.index(ann.label)
-        interval_len = ann.end - ann.start
-        n_win = window_count(interval_len, length, step)
-        if n_win == 0:
-            if interval_len <= 0:
+    spans: list[tuple[int, int]] = []    # [start, end) of each window's samples
+    labels: list[int] = []
+    if required_channels is not None and tuple(rec.channel_names) != tuple(required_channels):
+        missing = set(required_channels) - set(rec.channel_names)
+        detail = f"missing {sorted(missing)}" if missing else "channel order mismatch"
+        reject(f"recording {rec.rec_id or rec.subject_id}: montage rejected ({detail})")
+    else:
+        for ann in rec.annotations:
+            if ann.label not in class_map:
+                reject(f"recording {rec.rec_id or rec.subject_id}: unknown label "
+                       f"'{ann.label}' in [{ann.start}, {ann.end})")
                 continue
-            padded = np.zeros((n_chan, length))
-            padded[:, :interval_len] = rec.data[:, ann.start : ann.end]
-            windows.append(Window(padded, label_idx, rec.subject_id, (rec.rec_id, ann.start)))
-            continue
-        for i in range(n_win):
-            start = ann.start + i * step
-            windows.append(Window(
-                rec.data[:, start : start + length].copy(),
-                label_idx,
-                rec.subject_id,
-                (rec.rec_id, start),
-            ))
-    return windows
+            n_win = window_count(ann.end - ann.start, length, step)
+            for start in [ann.start + i * step for i in range(n_win)] or [ann.start]:
+                spans.append((start, min(start + length, ann.end)))
+                labels.append(class_map.index(ann.label))
+
+    data = np.zeros((len(spans), n_chan, length))
+    for window, (start, end) in zip(data, spans):
+        window[:, : end - start] = rec.data[:, start:end]
+    return data, np.array(labels, dtype=np.int64)

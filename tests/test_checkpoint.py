@@ -1,6 +1,7 @@
 """Checkpoint container: round trip from a path and from the file's bytes, the
 refusal of other versions, atomic writes of checkpoints and of the training
-loss log, and how often `fit` writes them."""
+loss log, how often `fit` writes them, and loaders that build their nets
+uninitialised and take every array from the checkpoint."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import artifactgen.nn.checkpoint as checkpoint_mod
-from artifactgen import training
+from artifactgen import diffusion, gan, training
 from artifactgen.nn import Adam, EmaShadow, Linear, load_checkpoint, save_checkpoint
 from artifactgen.training import fit
 
@@ -146,3 +147,35 @@ def test_each_epoch_end_writes_each_file_once(tmp_path, monkeypatch, epochs):
     assert sorted(best.arrays) == [f"{s}/net/{k}" for s in ("ema", "params")
                                    for k in ("bias", "weight")]
     assert all(np.array_equal(v, last.arrays[k]) for k, v in best.arrays.items())
+
+
+@pytest.mark.parametrize("model", ["wgan", "ddpm"])
+def test_loaded_net_is_built_uninitialised_and_holds_the_checkpoint(tmp_path, model):
+    """`read_checkpoint` builds its net with ``rng=None`` and loads every
+    parameter, so the loaded net's arrays are the checkpoint's."""
+    rng = np.random.default_rng(3)
+    data, labels = rng.uniform(-1, 1, (4, 2, 40)), np.array([0, 1, 0, 1])
+    if model == "wgan":
+        cfg = gan.GanTrainConfig(channels=(8, 8, 8, 8), latent_dim=4, batch_size=1,
+                                 n_critic=2, epochs=0, seed=5)
+        gan.train_wgan(data, labels, 2, cfg, tmp_path)
+        net_cls, config_cls, name = gan.GeneratorNet, gan.GanTrainConfig, "generator"
+        ck, prefix = load_checkpoint(tmp_path / "gan_best.ckpt"), "params/generator/"
+    else:
+        cfg = diffusion.DiffusionTrainConfig(widths=(8, 8, 8), cond_dim=8, time_dim=8,
+                                             epochs=0, seed=5)
+        diffusion.train_ddpm(data, labels, 2, cfg, tmp_path)
+        net_cls, config_cls, name = diffusion.UNet1D, diffusion.DiffusionTrainConfig, "net"
+        ck, prefix = load_checkpoint(tmp_path / "ddpm_best.ckpt"), "ema/net/"
+    rngs = []
+
+    def build(*args):
+        rngs.append(args[-1])
+        return net_cls(*args)
+
+    net, _, _ = training.read_checkpoint(ck, model, build, config_cls, name)
+    assert rngs == [None]
+    params = net.named_parameters()
+    assert sorted(params) == sorted(k[len(prefix):] for k in ck.arrays if k.startswith(prefix))
+    for k, p in params.items():
+        assert np.array_equal(p.data, ck.arrays[prefix + k]), k

@@ -3,7 +3,8 @@ run, the all-defaults GAN pipeline, same-seed reproducibility of the training
 and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
 sampling that writes the bytes of one batch, the seed's precedence, and the
 config rejections, refused samplings (bad arguments, a used --out, an old
-checkpoint version) and refused evaluations that must exit with code 2."""
+checkpoint version), refused evaluations and version-1 manifests that must
+exit with code 2, and the pinned bytes of curated windows."""
 
 import builtins
 import hashlib
@@ -226,6 +227,50 @@ def test_evaluate_refuses_a_repeated_fake_name(curated, sampled, tmp_path, capsy
                    "--out", tmp_path / "report.json") == 2
         assert "--fake wgan is given twice" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_version_1_manifest_is_refused(curated, sampled, tmp_path, capsys, command):
+    """A version-1 manifest (the normalization repeated in every entry) is
+    refused by its version, before anything is written."""
+    config, manifest = curated["gan"]
+    doc = json.loads(manifest.read_text())
+    norm = doc.pop("normalization")
+    doc["version"] = 1
+    for e in doc["entries"]:
+        e.update(L=250, norm=dict(norm, stats=e.pop("stats"), degenerate=False))
+    v1 = tmp_path / "v1"
+    v1.mkdir()
+    for path in manifest.parent.glob("*.agw"):
+        (v1 / path.name).write_bytes(path.read_bytes())
+    (v1 / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ("train", "--config", config, "--model", "gan", "--out", out,
+                "--manifest", v1 / "manifest.json")
+    else:
+        argv = ("evaluate", "--config", config, "--real", v1 / "manifest.json",
+                "--fake", f"wgan={sampled['wgan']}", "--out", out / "report.json")
+    assert run(*argv) == 2
+    assert "unsupported manifest version 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the .agw files, concatenated in name order, that the `curated`
+# fixture writes (`curate --synthetic --n-per-class 2`, seed 3): pins the
+# curated window bits through any rework of curate
+CURATED_AGW_SHA256 = {
+    "gan": "1a0fee8b8fa273e34f50e2e3164b69725a656881031ec0531ca9a21958bec8da",
+    "ddpm": "2f1bf304ae4c0ead7d9404e8549927b2979d4a46f0ba34c66f64d0f9a82044d7",
+}
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_curate_writes_the_pinned_window_bytes(curated, model):
+    files = sorted(curated[model][1].parent.glob("*.agw"))
+    assert len(files) == 37
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+    assert digest == CURATED_AGW_SHA256[model]
 
 
 @pytest.mark.parametrize("env, seed_args, want", [

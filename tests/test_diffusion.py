@@ -389,7 +389,7 @@ class TestTrainDdpm:
     def test_ema_differs_from_live_and_is_tracked(self):
         data, labels = self.toy_data()
         result = train_ddpm(data, labels, 2, self.small_cfg(epochs=2))
-        live = result.net.get_state()
+        live = {k: p.data for k, p in result.net.named_parameters().items()}
         shadow = result.ema.state()
         diffs = [np.max(np.abs(live[k] - shadow[k])) for k in live]
         assert max(diffs) > 0
@@ -403,8 +403,8 @@ class TestTrainDdpm:
         net, sched, meta = load_unet(tmp_path / "ddpm_best.ckpt")
         assert sched.num_steps == cfg.schedule_steps
         assert net.sample_length == 8
-        for k, v in net.get_state().items():
-            assert np.array_equal(v, result.best_state[f"ema/net/{k}"])
+        for k, p in net.named_parameters().items():
+            assert np.array_equal(p.data, result.best_state[f"ema/net/{k}"])
 
     def test_nan_aborts_with_snapshot(self, monkeypatch):
         # the third loss goes NaN in value only, so its gradients stay finite

@@ -525,7 +525,8 @@ def test_gan_short_run_agrees_with_float64_training(monkeypatch):
         assert np.max(np.abs(a - b) / np.abs(b)) <= GAN_CURVE_RTOL, col
         assert not np.array_equal(a, b), col          # the first run was float32
     for net in ("generator", "critic"):
-        state = [getattr(r, net).get_state() for r in (got, want)]
+        state = [{k: p.data for k, p in getattr(r, net).named_parameters().items()}
+                 for r in (got, want)]
         assert _rel_all(*state) <= GAN_WEIGHTS_RTOL, net
 
 

@@ -203,10 +203,14 @@ class TestFilmAndPooling:
         assert np.allclose(global_avg_pool1d(Tensor(x)).data, x.mean(axis=2))
 
 
+def copy_state(module):
+    return {k: p.data.copy() for k, p in module.named_parameters().items()}
+
+
 class TestModuleStateRoundTrip:
     def test_get_load_state(self):
         lin = Linear(4, 3, RNG)
-        state = lin.get_state()
+        state = copy_state(lin)
         lin2 = Linear(4, 3, np.random.default_rng(99))
         lin2.load_state(state)
         x = Tensor(RNG.standard_normal((2, 4)))
@@ -224,9 +228,26 @@ class TestModuleStateRoundTrip:
         assert conv(Tensor(RNG.standard_normal((2, 4, 10)).astype(np.float32))).data.dtype \
             == np.float32
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: Linear(4, 3, rng),
+        lambda rng: Conv1d(4, 6, 3, 1, 1, rng),
+        lambda rng: ConvTranspose1d(4, 6, 4, 2, 1, rng),
+        lambda rng: Embedding(5, 3, rng),
+    ], ids=["linear", "conv1d", "conv_transpose1d", "embedding"])
+    def test_built_without_generator_then_loaded(self, make):
+        """``rng=None`` builds every parameter, of its shape, without drawing
+        it; `load_state` then sets each one."""
+        state = copy_state(make(np.random.default_rng(1)))
+        built = make(None)
+        assert {k: p.data.shape for k, p in built.named_parameters().items()} == \
+            {k: v.shape for k, v in state.items()}
+        built.load_state(state)
+        for k, p in built.named_parameters().items():
+            assert np.array_equal(p.data, state[k]), k
+
     def test_load_state_shape_mismatch(self):
         lin = Linear(4, 3, RNG)
-        state = lin.get_state()
+        state = copy_state(lin)
         state["weight"] = np.zeros((2, 2))
         with pytest.raises(ValueError, match="shape"):
             lin.load_state(state)

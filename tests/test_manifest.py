@@ -1,5 +1,7 @@
-"""AGW1 window files, manifest round-trips, split validation, CSV formats."""
+"""AGW1 window files, manifest round-trips and version refusal, split
+validation, CSV formats."""
 
+import json
 import struct
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 
 from artifactgen.manifest import (
     Manifest,
-    ManifestEntry,
     SplitViolation,
     config_hash,
     load_window_set,
@@ -20,8 +21,8 @@ from artifactgen.manifest import (
     write_window_file,
     write_windows,
 )
-from artifactgen.normalize import minmax_normalize
-from artifactgen.windowing import ClassMap, Window
+from artifactgen.normalize import EPS, MINMAX_WINDOW, minmax_normalize
+from artifactgen.windowing import ClassMap
 
 
 class TestWindowFile:
@@ -58,16 +59,17 @@ class TestWindowFile:
 
 
 def build_manifest(tmp_path, splits=("train", "val", "test")):
+    """Three min-max windows per subject s0, s1, ...; returns the manifest and
+    the (N, C, L) windows, labels and per-window m and M it was written from."""
     rng = np.random.default_rng(1)
-    windows = []
-    for i, split in enumerate(splits):
-        for j in range(3):
-            w = Window(rng.uniform(-30, 30, size=(4, 50)), label=j % 2,
-                       subject_id=f"s{i}", source=("rec", j))
-            windows.append(minmax_normalize(w)[0])
+    data, m, big = minmax_normalize(rng.uniform(-30, 30, size=(3 * len(splits), 4, 50)))
+    labels = np.arange(len(data)) % 3 % 2
+    subjects = [f"s{i // 3}" for i in range(len(data))]
+    stats = [{"m": a, "M": b} for a, b in zip(m.tolist(), big.tolist())]
     split_of = {f"s{i}": s for i, s in enumerate(splits)}
-    man = write_windows(windows, tmp_path, split_of, config_hash({"x": 1}), 7, ClassMap())
-    return man, windows
+    man = write_windows(data, labels, subjects, stats, tmp_path, split_of,
+                        config_hash({"x": 1}), 7, ClassMap(), MINMAX_WINDOW)
+    return man, (data, labels, m, big)
 
 
 class TestManifest:
@@ -78,11 +80,11 @@ class TestManifest:
         assert loaded.to_dict() == man.to_dict()
 
     def test_window_data_round_trip(self, tmp_path):
-        man, windows = build_manifest(tmp_path)
+        man, (want, want_labels, _, _) = build_manifest(tmp_path)
         data, labels, subjects = load_window_set(man, tmp_path)
         assert data.shape == (9, 4, 50)
-        assert np.allclose(data, np.stack([w.data for w in windows]), atol=1e-6)
-        assert list(labels) == [w.label for w in windows]
+        assert np.allclose(data, want, atol=1e-6)
+        assert list(labels) == list(want_labels)
 
     def test_same_inputs_identical_manifest(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -99,10 +101,30 @@ class TestManifest:
         assert set(subjects) == {"s0"} and len(labels) == 3
 
     def test_norm_stats_in_entries(self, tmp_path):
+        man, (_, _, m, big) = build_manifest(tmp_path)
+        man.save(tmp_path / "manifest.json")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["version"] == 2
+        assert doc["normalization"] == {"scheme": "minmax_window", "eps": EPS}
+        for e, entry, lo, hi in zip(man.entries, doc["entries"], m, big):
+            assert set(entry) == {"path", "label", "subject", "split", "stats"}
+            assert e.stats == entry["stats"] == {"m": lo, "M": hi}
+            assert hi >= lo
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d.update(version=1), "unsupported manifest version 1"),
+        (lambda d: d.pop("version"), "unsupported manifest version None"),
+        (lambda d: d["normalization"].update(scheme="none"), "unknown normalization"),
+        (lambda d: d["normalization"].update(eps=1e-6), "unknown normalization"),
+        (lambda d: d.pop("normalization"), "unknown normalization"),
+    ], ids=["version_1", "no_version", "scheme_none", "other_eps", "no_normalization"])
+    def test_load_refuses_other_versions_and_schemes(self, tmp_path, edit, match):
         man, _ = build_manifest(tmp_path)
-        for e in man.entries:
-            assert e.norm["scheme"] == "minmax_window"
-            assert e.norm["stats"]["M"] >= e.norm["stats"]["m"]
+        doc = man.to_dict()
+        edit(doc)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            Manifest.load(tmp_path / "manifest.json")
 
 
 class TestValidateSplit:

@@ -13,12 +13,9 @@ CLASS_MAP = ClassMap()
 
 
 def corpus_windows(n_per_class=6, seed=0):
-    windows = []
-    for rec in generate_corpus(n_per_class, fs=FS, seed=seed):
-        windows.extend(extract_windows(rec, 1.0, 0.5, CLASS_MAP))
-    data = np.stack([w.data for w in windows])
-    labels = np.array([w.label for w in windows])
-    return data, labels
+    data, labels = zip(*(extract_windows(rec, 1.0, 0.5, CLASS_MAP)
+                         for rec in generate_corpus(n_per_class, fs=FS, seed=seed)))
+    return np.concatenate(data), np.concatenate(labels)
 
 
 def mean_band_power(windows, band):

@@ -66,45 +66,51 @@ class TestFormulas:
 class TestExtraction:
     def test_interval_yields_strided_windows(self):
         rec = make_recording(annotations=[Annotation(100, 600, "eye")])
-        wins = extract_windows(rec, 1.0, 0.5, ClassMap())
-        assert len(wins) == 3
-        assert [w.source[1] for w in wins] == [100, 225, 350]
-        for w in wins:
-            assert w.shape == (8, 250)
-            start = w.source[1]
-            assert np.array_equal(w.data, rec.data[:, start:start + 250])
-            assert w.label == ClassMap().index("eye")
+        data, labels = extract_windows(rec, 1.0, 0.5, ClassMap())
+        assert data.shape == (3, 8, 250) and data.dtype == np.float64
+        for w, start in zip(data, [100, 225, 350]):
+            assert np.array_equal(w, rec.data[:, start:start + 250])
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [ClassMap().index("eye")] * 3
+
+    def test_windows_follow_annotation_order(self):
+        rec = make_recording(annotations=[Annotation(1000, 1250, "shiver"),
+                                          Annotation(0, 375, "eye")])
+        data, labels = extract_windows(rec, 1.0, 0.5, ClassMap())
+        assert labels.tolist() == [ClassMap().index("shiver")] + [ClassMap().index("eye")] * 2
+        for w, start in zip(data, [1000, 0, 125]):
+            assert np.array_equal(w, rec.data[:, start:start + 250])
 
     def test_short_interval_zero_padded(self):
         rec = make_recording(annotations=[Annotation(50, 150, "muscle")])
-        wins = extract_windows(rec, 1.0, 0.5, ClassMap())
-        assert len(wins) == 1
-        w = wins[0]
-        assert w.shape == (8, 250)
-        assert np.array_equal(w.data[:, :100], rec.data[:, 50:150])
-        assert np.all(w.data[:, 100:] == 0.0)
+        data, labels = extract_windows(rec, 1.0, 0.5, ClassMap())
+        assert data.shape == (1, 8, 250)
+        assert np.array_equal(data[0, :, :100], rec.data[:, 50:150])
+        assert np.all(data[0, :, 100:] == 0.0)
+        assert labels.tolist() == [ClassMap().index("muscle")]
 
     def test_missing_channel_rejects_recording(self):
         channels = tuple(c for c in CANONICAL_CHANNELS if c != "T4") + ("XX",)
         rec = make_recording(channels=channels,
                              annotations=[Annotation(0, 500, "eye")])
         rejections = []
-        wins = extract_windows(rec, 1.0, 0.5, ClassMap(), rejections=rejections)
-        assert wins == []
+        data, labels = extract_windows(rec, 1.0, 0.5, ClassMap(), rejections=rejections)
+        assert data.shape == (0, 8, 250) and labels.shape == (0,)
         assert len(rejections) == 1 and "T4" in rejections[0]
 
     def test_unknown_label_skips_interval(self):
         rec = make_recording(annotations=[Annotation(0, 500, "seizure"),
                                           Annotation(500, 1000, "eye")])
         rejections = []
-        wins = extract_windows(rec, 1.0, 0.5, ClassMap(), rejections=rejections)
-        assert all(w.label == ClassMap().index("eye") for w in wins)
+        data, labels = extract_windows(rec, 1.0, 0.5, ClassMap(), rejections=rejections)
+        assert len(labels) == 3 and np.all(labels == ClassMap().index("eye"))
+        assert np.array_equal(data[0], rec.data[:, 500:750])
         assert len(rejections) == 1 and "seizure" in rejections[0]
 
     def test_windows_are_copies(self):
         rec = make_recording(annotations=[Annotation(0, 250, "eye")])
-        wins = extract_windows(rec, 1.0, 0.5, ClassMap())
-        wins[0].data[:] = 99.0
+        data, _ = extract_windows(rec, 1.0, 0.5, ClassMap())
+        data[0] = 99.0
         assert not np.any(rec.data == 99.0)
 
     @settings(max_examples=30, deadline=None)
@@ -114,12 +120,11 @@ class TestExtraction:
         t = max(interval + 10, 300)
         rec = Recording(rng.standard_normal((8, t)), 250.0, "s0",
                         CANONICAL_CHANNELS, [Annotation(5, 5 + interval, "shiver")], "r")
-        wins = extract_windows(rec, 1.0, rho, ClassMap())
+        data, labels = extract_windows(rec, 1.0, rho, ClassMap())
         expected = window_count(interval, 250, stride(250, rho))
-        assert len(wins) == max(expected, 1 if interval > 0 else 0)
-        for w in wins:
-            assert w.shape == (8, 250)
-            assert np.all(np.isfinite(w.data))
+        assert data.shape == (max(expected, 1), 8, 250)
+        assert labels.shape == (len(data),)
+        assert np.all(np.isfinite(data))
 
     def test_annotation_bounds_validated(self):
         with pytest.raises(ValueError):
