@@ -1,8 +1,7 @@
 """Deterministic signal-processing primitives of the evaluation suite.
 
 Welch PSD, band power, autocorrelation and channel covariance, all computed
-in double precision on raw numpy arrays. (The differentiable STFT of the
-spectral loss is `gan._stft_mag`.) Conventions:
+in double precision on raw numpy arrays. Conventions:
 
 - Batched: ``welch_psd`` and ``autocorrelation`` work along the last axis of
   ``(..., L)`` arrays, ``channel_covariance`` on the last two of

@@ -1,5 +1,5 @@
 """Conditional WGAN-GP: transposed-convolution generator, projection critic,
-interpolated gradient penalty, optional STFT-L1 spectral loss, training loop.
+interpolated gradient penalty, training loop.
 
 Architecture (canonical L = 250, scaled widths allowed):
 
@@ -38,9 +38,7 @@ from .nn import (
     global_avg_pool1d,
     grad,
     leaky_relu,
-    matmul,
     no_grad,
-    unfold1d,
 )
 from .nn.checkpoint import Checkpoint
 from .training import TRAIN_DTYPE, Twin, fit, read_checkpoint
@@ -50,7 +48,6 @@ __all__ = [
     "GeneratorNet",
     "ProjectionCritic",
     "gradient_penalty",
-    "spectral_l1",
     "train_wgan",
     "GanTrainResult",
     "load_generator",
@@ -67,9 +64,6 @@ class GanTrainConfig:
     lr: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.9
-    spectral_loss_weight: float = 0.0       # auxiliary loss, off by default
-    spectral_nfft: int = 64
-    spectral_hop: int = 32
     epochs: int = 10
     seed: int = 0
     smooth_window: int = 50
@@ -182,43 +176,6 @@ def gradient_penalty(critic, x_real: np.ndarray, x_fake: np.ndarray,
     return ((norms - 1.0) ** 2).mean() * lam
 
 
-_DFT_CACHE: dict[tuple[int, np.dtype], tuple[Tensor, Tensor, Tensor]] = {}
-
-
-def _dft_matrices(nfft: int, dtype) -> tuple[Tensor, Tensor, Tensor]:
-    """The Hann window and the real-DFT cosine and sine matrices, in ``dtype``."""
-    key = (nfft, np.dtype(dtype))
-    if key not in _DFT_CACHE:
-        n = np.arange(nfft)[:, None]
-        k = np.arange(nfft // 2 + 1)[None, :]
-        ang = 2.0 * np.pi * n * k / nfft
-        win = (0.5 - 0.5 * np.cos(2.0 * np.pi * n / nfft))[None]
-        _DFT_CACHE[key] = tuple(Tensor(m.astype(dtype)) for m in (win, np.cos(ang), -np.sin(ang)))
-    return _DFT_CACHE[key]
-
-
-def _stft_mag(x: Tensor, nfft: int, hop: int) -> Tensor:
-    """Magnitude of the periodic-Hann STFT of each channel of ``x`` (B, C, L):
-    frames of ``nfft`` samples every ``hop``, shape (B*C, frames, nfft//2 + 1),
-    differentiable and in the dtype of ``x``. The one STFT in the package."""
-    b, c, length = x.shape
-    frames = unfold1d(x.reshape((b * c, 1, length)), nfft, hop)   # (B*C, nfft, F)
-    win, cos_m, sin_m = _dft_matrices(nfft, x.data.dtype)
-    ft = (frames * win).swapaxes(1, 2)                            # (B*C, F, nfft)
-    re = matmul(ft, cos_m)
-    im = matmul(ft, sin_m)
-    return (re * re + im * im + 1e-24).sqrt()
-
-
-def spectral_l1(x_real, x_fake, nfft: int = 64, hop: int = 32) -> Tensor:
-    """Mean absolute difference between Hann STFT magnitudes, per channel, averaged."""
-    a = x_real if isinstance(x_real, Tensor) else Tensor(x_real)
-    b = x_fake if isinstance(x_fake, Tensor) else Tensor(x_fake)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return (_stft_mag(a, nfft, hop) - _stft_mag(b, nfft, hop)).abs().mean()
-
-
 @dataclass
 class GanTrainResult:
     generator: GeneratorNet
@@ -239,10 +196,9 @@ def train_wgan(
     """Alternating WGAN-GP training on min-max-normalized windows in [-1, 1].
 
     Per generator step the critic takes ``n_critic`` updates with loss
-    E[D(fake)] - E[D(real)] + GP; the generator then minimizes -E[D(fake)]
-    (plus the optional spectral term). Losses are logged per step; the best
-    state, both nets, is the one at the lowest smoothed absolute generator
-    loss. The batch is ``min(batch_size, n // n_critic)``, so any
+    E[D(fake)] - E[D(real)] + GP; the generator then minimizes -E[D(fake)].
+    Losses are logged per step; the best state, both nets, is the one at the
+    lowest smoothed absolute generator loss. The batch is ``min(batch_size, n // n_critic)``, so any
     ``n >= n_critic`` fills a step.
 
     Every forward and backward pass runs in `training.TRAIN_DTYPE` on a
@@ -289,26 +245,18 @@ def train_wgan(
             critic_twin.update(opt_d.step)
             d_losses.append(d_total.item())
 
-        # generator update on a fresh latent batch; reuse last real batch
-        # for labels and the optional spectral reference
+        # generator update on a fresh latent batch, with the last real batch's labels
         z = rng.standard_normal((len(idx), cfg.latent_dim))
         gen32.zero_grad()
-        x_fake_t = gen32(z, y)
-        g_loss = -critic32(x_fake_t, y).mean()
-        spec_val = 0.0
-        if cfg.spectral_loss_weight > 0:
-            spec = spectral_l1(Tensor(x_real.astype(x_fake_t.data.dtype)), x_fake_t,
-                               cfg.spectral_nfft, cfg.spectral_hop)
-            g_loss = g_loss + cfg.spectral_loss_weight * spec
-            spec_val = spec.item()
+        g_loss = -critic32(gen32(z, y), y).mean()
         backward(g_loss)
         gen_twin.update(opt_g.step)
         return {"d_loss": float(np.mean(d_losses)), "g_loss": g_loss.item(),
-                "gp": float(np.mean(gps)), "spectral": spec_val}
+                "gp": float(np.mean(gps))}
 
     meta = {"model": "wgan", "n_channels": n_ch, "length": length, "n_classes": n_classes,
             "train_dtype": np.dtype(TRAIN_DTYPE).name, "config": asdict(cfg)}
-    fit("gan", result, n, cfg, rng, step, columns=("d_loss", "g_loss", "gp", "spectral"),
+    fit("gan", result, n, cfg, rng, step, columns=("d_loss", "g_loss", "gp"),
         monitor="g_loss", nets={"generator": gen, "critic": critic},
         optimizers={"generator": opt_g, "critic": opt_d}, meta=meta, out_dir=out_dir,
         batches_per_step=cfg.n_critic)

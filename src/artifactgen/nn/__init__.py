@@ -4,14 +4,12 @@ from .tensor import (
     Tensor,
     backward,
     concat,
-    fold1d,
     gather_rows,
     grad,
     leaky_relu,
     matmul,
     no_grad,
     silu,
-    unfold1d,
 )
 from .layers import (
     Conv1d,
@@ -28,7 +26,7 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "backward", "grad", "no_grad",
-    "concat", "matmul", "leaky_relu", "silu", "unfold1d", "fold1d", "gather_rows",
+    "concat", "matmul", "leaky_relu", "silu", "gather_rows",
     "Module", "Linear", "Conv1d", "ConvTranspose1d", "Embedding", "GroupNorm",
     "film", "global_avg_pool1d",
     "Adam", "EmaShadow",

@@ -70,16 +70,21 @@ class Adam:
 
 
 class EmaShadow:
-    """Exponential moving average of parameters: shadow <- d*shadow + (1-d)*live."""
+    """Exponential moving average of parameters: shadow <- d*shadow + (1-d)*live,
+    where the update after n = ``updates`` earlier ones uses d = min(decay,
+    (1 + n) / (10 + n)), the ``num_updates`` warm-up of TensorFlow's
+    ExponentialMovingAverage, so a short run's shadow is not its initialisation."""
 
     def __init__(self, params: dict[str, Tensor], decay: float):
         if not 0.0 <= decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {decay}")
         self.decay = decay
+        self.updates = 0
         self.shadow = {k: p.data.copy() for k, p in params.items()}
 
     def update(self, params: dict[str, Tensor]) -> None:
-        d = self.decay
+        d = min(self.decay, (1.0 + self.updates) / (10.0 + self.updates))
+        self.updates += 1
         for k, p in params.items():
             self.shadow[k] = d * self.shadow[k] + (1.0 - d) * p.data
 

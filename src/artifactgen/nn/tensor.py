@@ -21,8 +21,8 @@ stores anything else as float64, and every op computes in the dtype of its
 inputs: a Python scalar operand takes the dtype of the tensor it meets. So a
 module whose parameters are float32 runs its forward and backward in float32
 (sampling, and the training twins), while optimizer state and checkpoints
-stay float64. Piecewise-linear ops (leaky_relu, abs) use their
-almost-everywhere derivative in second-order passes.
+stay float64. The piecewise-linear leaky_relu uses its almost-everywhere
+derivative in second-order passes.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "matmul",
     "leaky_relu",
     "silu",
-    "unfold1d",
-    "fold1d",
     "gather_rows",
 ]
 
@@ -192,12 +190,6 @@ class Tensor:
     def sigmoid(self):
         return Tensor._result_of_output(_sigmoid(self.data), (self,),
                                         lambda g, out: (g * (out * (1.0 - out)),), "sigmoid")
-
-    def abs(self):
-        # a.e. derivative: sign(x), with sign(0) = 0
-        a = self
-        sign = Tensor(np.sign(a.data))
-        return Tensor._result(np.abs(a.data), (a,), lambda g: (g * sign,), "abs")
 
     # ---- reductions / shape ---------------------------------------------------
 
@@ -358,28 +350,10 @@ def silu(x: Tensor) -> Tensor:
     return Tensor._result(data, (x,), vjp, "silu")
 
 
-def unfold1d(x: Tensor, size: int, stride: int) -> Tensor:
-    """Extract sliding frames: (B, C, L) -> (B, C*size, F), F = (L-size)//stride + 1.
-
-    Row index is c*size + k, so frame f holds x[b, c, f*stride + k].
-    """
-    if x.ndim != 3:
-        raise ValueError(f"unfold1d expects (B, C, L), got {x.shape}")
-    return _unfold(x, size, stride, 0)
-
-
-def fold1d(cols: Tensor, out_len: int, size: int, stride: int) -> Tensor:
-    """Adjoint of :func:`unfold1d`: scatter-add frames back onto the time axis."""
-    if cols.ndim != 3:
-        raise ValueError(f"fold1d expects (B, C*size, F), got {cols.shape}")
-    if cols.shape[1] % size != 0:
-        raise ValueError(f"row count {cols.shape[1]} not divisible by frame size {size}")
-    return _fold(cols, out_len, size, stride, 0)
-
-
 def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = False) -> Tensor:
-    """:func:`unfold1d` of ``x`` zero-padded by ``pad`` at both ends, in one
-    gather; with ``time_major`` its (B, F, C*size) transpose, built directly."""
+    """Sliding frames of ``x`` (B, C, L) zero-padded by ``pad`` at both ends, in
+    one gather: (B, C*size, F), row c*size + k of frame f holding the padded
+    x[b, c, f*stride + k]; with ``time_major``, its (B, F, C*size) transpose."""
     b, c, length = x.data.shape
     if size > length + 2 * pad:
         raise ValueError(f"frame size {size} exceeds length {length + 2 * pad}")
@@ -397,13 +371,14 @@ def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = Fals
     def vjp(g):
         return (_fold(g.swapaxes(1, 2) if time_major else g, length, size, stride, pad),)
 
-    return Tensor._result(data, (x,), vjp, "unfold1d")
+    return Tensor._result(data, (x,), vjp, "unfold")
 
 
 def _fold(cols: Tensor, out_len: int, size: int, stride: int, pad: int) -> Tensor:
-    """Adjoint of :func:`_unfold`: :func:`fold1d` onto ``out_len + 2*pad``
-    samples, cropped to the middle ``out_len``. Each tap adds only the frames
-    that land inside the crop, straight into the ``out_len`` samples."""
+    """Adjoint of :func:`_unfold`: scatter-add the frames of ``cols``
+    (B, C*size, F) onto ``out_len + 2*pad`` samples, cropped to the middle
+    ``out_len``. Each tap adds only the frames that land inside the crop,
+    straight into the ``out_len`` samples."""
     b, rows, frames = cols.data.shape
     taps = cols.data.reshape(b, rows // size, size, frames)
     out = np.zeros((b, rows // size, out_len), dtype=cols.data.dtype)
@@ -416,7 +391,7 @@ def _fold(cols: Tensor, out_len: int, size: int, stride: int, pad: int) -> Tenso
             out[:, :, start: start + stride * (last - first) + 1: stride] += \
                 taps[:, :, k, first: last + 1]
     return Tensor._result(out, (cols,),
-                          lambda g: (_unfold(g, size, stride, pad),), "fold1d")
+                          lambda g: (_unfold(g, size, stride, pad),), "fold")
 
 
 def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:

@@ -35,11 +35,8 @@ __all__ = ["ArtifactTemplate", "TEMPLATES", "generate_corpus",
 
 @dataclass(frozen=True)
 class ArtifactTemplate:
-    label: str
     carrier: tuple[float, float]     # Hz band the morphology concentrates in
-    envelope: str                    # burst | step | tremor | rhythmic | slow-wave
     topography: tuple[float, ...]    # per-channel weights, canonical montage order
-    noise_floor: float               # background pink-noise sigma (microvolt)
     # Nominal carrier amplitude (microvolt), scaled x0.75-1.25 per event. A
     # channel of weight w peaks at about w * (1 + pedestal) * amplitude; the
     # electrode step plus drift peaks at about 1.5 * amplitude.
@@ -49,21 +46,15 @@ class ArtifactTemplate:
 
 TEMPLATES: dict[str, ArtifactTemplate] = {
     "muscle": ArtifactTemplate(
-        "muscle", (30.0, 100.0), "burst",
-        (0.1, 0.1, 0.3, 0.3, 0.1, 0.1, 1.0, 1.0), 2.0, 30.0, 1.5),
+        (30.0, 100.0), (0.1, 0.1, 0.3, 0.3, 0.1, 0.1, 1.0, 1.0), 30.0, 1.5),
     "eye": ArtifactTemplate(
-        "eye", (1.0, 3.5), "slow-wave",
-        (1.0, 0.95, 0.2, 0.2, 0.05, 0.05, 0.15, 0.15), 2.0, 45.0),
-    "electrode": ArtifactTemplate(
-        # the affected channel is drawn per event; weights here are placeholders
-        "electrode", (0.5, 4.0), "step",
-        (1.0,) * 8, 2.0, 55.0),
+        (1.0, 3.5), (1.0, 0.95, 0.2, 0.2, 0.05, 0.05, 0.15, 0.15), 45.0),
+    # the affected channel is drawn per event; weights here are placeholders
+    "electrode": ArtifactTemplate((0.5, 4.0), (1.0,) * 8, 55.0),
     "chewing": ArtifactTemplate(
-        "chewing", (22.0, 28.0), "rhythmic",
-        (0.5, 0.5, 0.7, 0.7, 0.1, 0.1, 0.6, 0.6), 2.0, 28.0, 0.5),
+        (22.0, 28.0), (0.5, 0.5, 0.7, 0.7, 0.1, 0.1, 0.6, 0.6), 28.0, 0.5),
     "shiver": ArtifactTemplate(
-        "shiver", (8.0, 12.0), "tremor",
-        (0.6, 0.6, 0.8, 0.8, 0.5, 0.5, 0.7, 0.7), 2.0, 18.0, 2.0),
+        (8.0, 12.0), (0.6, 0.6, 0.8, 0.8, 0.5, 0.5, 0.7, 0.7), 18.0, 2.0),
 }
 
 
@@ -192,9 +183,11 @@ def _interval_signal(label: str, n: int, fs: float, n_chan: int,
 
 
 # Each annotated interval lasts a uniform draw from this range (seconds), and
-# quiet background of GAP_SECONDS separates the intervals.
+# quiet background of GAP_SECONDS separates the intervals. The background is
+# pink noise of standard deviation NOISE_FLOOR (microvolt) on every channel.
 INTERVAL_SECONDS = (2.0, 3.0)
 GAP_SECONDS = 0.5
+NOISE_FLOOR = 2.0
 
 
 def generate_corpus(
@@ -226,7 +219,7 @@ def generate_corpus(
             spans.append((cursor, cursor + dur, name))
             cursor += dur + gap
         total = cursor
-        data = TEMPLATES[DEFAULT_CLASS_NAMES[0]].noise_floor * _pink_noise(rng, n_chan, total)
+        data = NOISE_FLOOR * _pink_noise(rng, n_chan, total)
         for start, end, name in spans:
             data[:, start:end] += _interval_signal(name, end - start, fs, n_chan, rng)
             annotations.append(Annotation(start, end, name))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable
 
@@ -88,8 +89,9 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     before. Checkpoint arrays are named ``params/<net>/<parameter>`` and
     ``ema/<net>/<parameter>``; ``last`` also holds ``m/<net>/<parameter>`` and
     ``v/<net>/<parameter>``, the moments of each optimizer, whose ``t`` and
-    hyperparameters go into its meta under ``"optimizers"``. ``best`` holds the
-    best state, or the state before any step.
+    hyperparameters go into its meta under ``"optimizers"``, as each shadow's
+    update count goes under ``"ema_updates"``. ``best`` holds the best state,
+    or the state before any step.
     """
     ema = ema or {}
     best = np.inf
@@ -111,7 +113,8 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
                 last.update({f"{moment}/{name}/{k}": v
                              for k, v in scalars[name].pop(moment).items()})
         save_checkpoint(path / f"{model}_last.ckpt", last, step=len(result.history),
-                        meta={**meta, "optimizers": scalars})
+                        meta={**meta, "optimizers": scalars,
+                              "ema_updates": {k: s.updates for k, s in ema.items()}})
         save_checkpoint(path / f"{model}_best.ckpt", result.best_state or _weights(nets, ema),
                         step=result.best_step, meta=meta)
 
@@ -168,12 +171,15 @@ def read_checkpoint(path: str | Path | Checkpoint, model: str, net_cls, config_c
     already loaded), rebuilt as a float64 ``net_cls`` with its EMA weights if
     the checkpoint holds them, else its parameters; with the ``config_cls`` it
     was trained with and the checkpoint's meta. ValueError unless ``model``
-    wrote it."""
+    wrote it with a config whose every key ``config_cls`` has."""
     ck = path if isinstance(path, Checkpoint) else load_checkpoint(path)
-    meta = ck.meta
+    meta, name = ck.meta, "checkpoint" if ck is path else path
     if meta.get("model") != model:
-        raise ValueError(f"{'checkpoint' if ck is path else path}: "
-                         f"not a {model.upper()} checkpoint")
+        raise ValueError(f"{name}: not a {model.upper()} checkpoint")
+    unknown = sorted(meta["config"].keys() - {f.name for f in fields(config_cls)})
+    if unknown:
+        raise ValueError(f"{name}: its config has keys this version does not know "
+                         f"({', '.join(unknown)}); train the model again")
     cfg = config_cls(**meta["config"])
     # uninitialised: load_state overwrites every parameter or raises
     built = net_cls(meta["n_channels"], meta["length"], meta["n_classes"], cfg, None)

@@ -136,7 +136,7 @@ def test_each_epoch_end_writes_each_file_once(tmp_path, monkeypatch, epochs):
     last = load_checkpoint(tmp_path / "toy_last.ckpt")
     assert last.step == 2 * epochs
     assert last.meta == {"model": "toy", "optimizers": {"net": {
-        "t": 2 * epochs, "hyper": opt.state_dict()["hyper"]}}}
+        "t": 2 * epochs, "hyper": opt.state_dict()["hyper"]}}, "ema_updates": {"net": 2 * epochs}}
     assert sorted(last.arrays) == [f"{s}/net/{k}" for s in ("ema", "m", "params", "v")
                                    for k in ("bias", "weight")]
     assert np.array_equal(last.arrays["params/net/weight"], net.weight.data)

@@ -3,8 +3,9 @@ run, the all-defaults GAN pipeline, same-seed reproducibility of the training
 and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
 sampling that writes the bytes of one batch, the seed's precedence, and the
 config rejections, refused samplings (bad arguments, a used --out, an old
-checkpoint version), refused evaluations and version-1 manifests that must
-exit with code 2, and the pinned bytes of curated windows."""
+checkpoint version or config key), refused evaluations and version-1
+manifests that must exit with code 2, and the pinned bytes of curated
+windows."""
 
 import builtins
 import hashlib
@@ -20,7 +21,7 @@ import yaml
 from artifactgen import cli
 from artifactgen.cli import main
 from artifactgen.manifest import read_window_file, write_window_file
-from artifactgen.nn import load_checkpoint
+from artifactgen.nn import load_checkpoint, save_checkpoint
 
 GAN = {"channels": [8, 8, 8, 8], "latent_dim": 8, "batch_size": 4, "n_critic": 2, "epochs": 1}
 DDPM = {"widths": [8, 8, 8], "cond_dim": 8, "time_dim": 8, "batch_size": 4, "epochs": 1}
@@ -137,6 +138,22 @@ def test_sample_refuses_a_version_1_checkpoint(checkpoints, tmp_path, capsys, mo
     assert run("sample", "--checkpoint", old, "--class", 0, "--num", 2, "--steps", 2,
                "--out", out) == 2
     assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+def test_sample_refuses_a_config_key_it_does_not_know(checkpoints, tmp_path, capsys, model):
+    """A checkpoint whose config has a key the config class lacks (a knob
+    since removed) is refused, naming the key, rather than read without it."""
+    ck = load_checkpoint(checkpoints[model])
+    meta = {**ck.meta, "config": {**ck.meta["config"], "spectral_hop": 32}}
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, ck.arrays, step=ck.step, meta=meta)
+    out = tmp_path / "fake"
+    assert run("sample", "--checkpoint", old, "--class", 0, "--num", 2, "--steps", 2,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "spectral_hop" in err and "train the model again" in err
     assert not out.exists()
 
 
@@ -413,6 +430,7 @@ def test_zero_epochs_reports_zero_steps(curated, tmp_path, capsys, model):
     ({"data": {"filtering": "raw"}}, "filtering"),
     ({"model": {"gan": {"leaky_slope": 1.5}}}, "leaky_slope must be in [0, 1]"),
     ({"model": {"gan": {"leaky_slope": -0.2}}}, "leaky_slope must be in [0, 1]"),
+    ({"model": {"gan": {"spectral_loss_weight": 0.5}}}, "spectral_loss_weight"),
 ])
 def test_config_rejected_with_exit_code_2(tmp_path, capsys, doc, message):
     config = tmp_path / "bad.yaml"

@@ -442,17 +442,17 @@ class RecordingTwin(training.Twin):
         self.made.append(self)
 
 
-@pytest.mark.parametrize("spectral", [0.0, 0.5])
+# the generator's loss has no spectral term, so its weight is 0
+@pytest.mark.parametrize("spectral", [0.0])
 def test_gan_twin_gradients_stay_float32(monkeypatch, spectral):
-    """After one step both twins hold float32 parameters and gradients, with
-    the spectral loss too, and the master nets float64 ones."""
+    """After one step both twins hold float32 parameters and gradients, and
+    the master nets float64 ones."""
     monkeypatch.setattr(RecordingTwin, "made", [])
     monkeypatch.setattr(gan, "Twin", RecordingTwin)
     rng = np.random.default_rng(5)
     data, labels = rng.uniform(-1, 1, (8, 4, 50)), rng.integers(0, 3, 8)
     cfg = gan.GanTrainConfig(channels=(8, 8, 8, 8), latent_dim=8, batch_size=4, n_critic=2,
-                             epochs=1, spectral_loss_weight=spectral, spectral_nfft=16,
-                             spectral_hop=8)
+                             epochs=1)
     result = gan.train_wgan(data, labels, 3, cfg)
     assert len(result.history) == 1
     twins = RecordingTwin.made

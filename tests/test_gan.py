@@ -1,6 +1,5 @@
 """WGAN-GP components: projection identity, gradient-penalty closed forms,
-the STFT and the spectral loss, and the training loop's plumbing and
-determinism."""
+and the training loop's plumbing and determinism."""
 
 import numpy as np
 import pytest
@@ -10,9 +9,7 @@ from artifactgen.gan import (
     GanTrainConfig,
     GeneratorNet,
     ProjectionCritic,
-    _stft_mag,
     gradient_penalty,
-    spectral_l1,
     train_wgan,
 )
 from artifactgen.nn import Adam, Tensor, load_checkpoint, no_grad
@@ -196,62 +193,6 @@ class TestGradientPenalty:
         assert max(norms) > 0.0
 
 
-def stft(x, nfft=128, hop=64):
-    """`_stft_mag` of one signal: (frames, nfft // 2 + 1)."""
-    return _stft_mag(Tensor(np.asarray(x, dtype=np.float64)[None, None]), nfft, hop).data[0]
-
-
-class TestStftMagnitude:
-    def test_zero_signal(self):
-        # only the 1e-24 under the square root, which keeps the gradient finite
-        assert np.all(stft(np.zeros(512)) <= 1e-12)
-
-    def test_dc_concentrates_in_bin_zero(self):
-        assert np.all(np.argmax(stft(np.ones(512)), axis=1) == 0)
-
-    def test_sine_peak_bin(self):
-        mags = stft(np.sin(2.0 * np.pi * 10.0 * np.arange(1024) / 250.0))
-        expected_bin = round(10.0 * 128 / 250.0)
-        assert expected_bin == 5
-        assert np.all(np.argmax(mags, axis=1) == expected_bin)
-
-    def test_frame_count(self):
-        assert stft(np.zeros(1000)).shape == ((1000 - 128) // 64 + 1, 65)
-
-    def test_nfft_longer_than_signal(self):
-        with pytest.raises(ValueError):
-            stft(np.zeros(100))
-
-
-class TestSpectralL1:
-    def sine_batch(self, freq):
-        t = np.arange(128) / 250.0
-        return np.tile(np.sin(2 * np.pi * freq * t), (2, 1, 1))
-
-    def test_identical_inputs_zero(self):
-        x = self.sine_batch(10.0)
-        assert spectral_l1(x, x.copy()).item() == 0.0
-
-    def test_symmetric(self):
-        a, b = self.sine_batch(10.0), self.sine_batch(17.0)
-        assert spectral_l1(a, b).item() == pytest.approx(spectral_l1(b, a).item(), rel=1e-12)
-
-    def test_orders_spectral_distance(self):
-        base = self.sine_batch(10.0)
-        far = spectral_l1(base, self.sine_batch(20.0)).item()
-        near = spectral_l1(base, self.sine_batch(11.0)).item()
-        assert far > near
-
-    def test_matches_reference_stft(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 200))
-        ours = _stft_mag(Tensor(x), 64, 32).data  # (B*C, frames, bins)
-        frames = np.lib.stride_tricks.sliding_window_view(x, 64, axis=-1)[..., ::32, :]
-        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(64) / 64)
-        ref = np.abs(np.fft.rfft(frames * hann, axis=-1))   # (B, C, frames, bins)
-        assert np.allclose(ours, ref.reshape(ours.shape), atol=1e-9)
-
-
 class TestTrainLoop:
     def test_single_step_updates_touched_params_only(self):
         data, labels = toy_windows(8)
@@ -285,7 +226,7 @@ class TestTrainLoop:
         assert (tmp_path / "gan_losses.csv").exists()
         assert (tmp_path / "gan_best.ckpt").exists()
         lines = (tmp_path / "gan_losses.csv").read_text().splitlines()
-        assert lines[0] == "step,d_loss,g_loss,gp,spectral"
+        assert lines[0] == "step,d_loss,g_loss,gp"
         assert len(lines) >= 2
 
     def test_load_generator_round_trip(self, tmp_path):
@@ -345,12 +286,6 @@ class TestTrainLoop:
                 assert np.array_equal(restored.v[k], want.v[k]), (name, k)
         assert trained[1].t == cfg.n_critic * trained[0].t == cfg.n_critic * len(result.history)
         assert [ck.meta["optimizers"][k]["t"] for k in nets] == [trained[0].t, trained[1].t]
-
-    def test_spectral_term_logged_when_enabled(self):
-        data, labels = toy_windows(16)
-        cfg = small_cfg(spectral_loss_weight=0.5, spectral_nfft=32, spectral_hop=16)
-        result = train_wgan(data, labels, K, cfg)
-        assert any(row["spectral"] > 0 for row in result.history)
 
     def test_range_validation(self):
         data, labels = toy_windows(8)

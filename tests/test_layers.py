@@ -15,14 +15,13 @@ from artifactgen.nn import (
     Linear,
     Tensor,
     film,
-    fold1d,
     global_avg_pool1d,
     grad,
     matmul,
     no_grad,
-    unfold1d,
 )
 from artifactgen.nn.layers import GROUP_NORM_EPS
+from artifactgen.nn.tensor import _fold, _unfold
 from test_tensor import check_grads, numeric_grad
 
 RNG = np.random.default_rng(0)
@@ -260,7 +259,7 @@ def composite_conv1d(conv, x):
     """Conv1d as a chain of tape primitives: pad -> unfold -> matmul -> bias."""
     if conv.padding:
         x = x.pad_axis(2, conv.padding, conv.padding)
-    cols = unfold1d(x, conv.kernel, conv.stride)
+    cols = _unfold(x, conv.kernel, conv.stride, 0)
     out = matmul(conv.weight.reshape((conv.c_out, conv.c_in * conv.kernel)), cols)
     return out + conv.bias
 
@@ -269,7 +268,7 @@ def composite_conv_transpose1d(up, x):
     """ConvTranspose1d as a chain: matmul -> fold -> crop -> bias."""
     length = x.shape[2]
     w2 = up.weight.reshape((up.c_in, up.c_out * up.kernel)).swapaxes(0, 1)
-    full = fold1d(matmul(w2, x), (length - 1) * up.stride + up.kernel, up.kernel, up.stride)
+    full = _fold(matmul(w2, x), (length - 1) * up.stride + up.kernel, up.kernel, up.stride, 0)
     return full.narrow(2, up.padding, up.out_length(length)) + up.bias
 
 

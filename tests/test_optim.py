@@ -1,5 +1,5 @@
 """Adam update semantics with and without decoupled weight decay, convergence
-on a quadratic bowl, EMA decay."""
+on a quadratic bowl, EMA decay and warm-up."""
 
 import numpy as np
 import pytest
@@ -100,17 +100,32 @@ class TestEma:
         ema.shadow["theta"] = np.array([1.0])  # gap of 1 vs constant live params
         for _ in range(20):
             ema.update(params)
-        assert ema.shadow["theta"][0] == pytest.approx(0.9 ** 20, rel=1e-12)
+        # warm-up: the update after n earlier ones decays by min(0.9, (1+n)/(10+n))
+        want = np.prod([min(0.9, (1 + n) / (10 + n)) for n in range(20)])
+        assert ema.shadow["theta"][0] == pytest.approx(want, rel=1e-12)
 
     def test_thousand_steps_at_0999(self):
         params = quadratic_param(0.0)
         ema = EmaShadow(params, decay=0.999)
+        ema.updates = 10_000   # past the warm-up: every update decays by the ceiling
         ema.shadow["theta"] = np.array([1.0])
         for _ in range(1000):
             ema.update(params)
         gap = ema.shadow["theta"][0]
         assert gap == pytest.approx(0.999 ** 1000, rel=1e-9)
         assert abs(gap - 0.368) / 0.368 < 0.01
+
+    def test_warm_up_follows_the_live_weights_early(self):
+        """After 20 updates at decay 0.999 the shadow lies nearer the live
+        weights than the initial ones (without a warm-up it would keep 98% of
+        the initial weights), and it counts its updates."""
+        params = quadratic_param(0.0)
+        ema = EmaShadow(params, decay=0.999)
+        params["theta"].data = np.array([1.0])
+        for _ in range(20):
+            ema.update(params)
+        assert abs(ema.shadow["theta"][0] - 1.0) < abs(ema.shadow["theta"][0] - 0.0)
+        assert ema.updates == 20
 
     def test_decay_validation(self):
         with pytest.raises(ValueError):
