@@ -62,7 +62,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], step: int =
         f.write(_PREAMBLE.pack(MAGIC, VERSION, len(blob)))
         f.write(blob)
         for k in keys:
-            f.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(arrays[k], dtype="<f8"))
 
 
 def load_checkpoint(source: str | Path | bytes) -> Checkpoint:

@@ -14,12 +14,14 @@ nets, and training float32 twins of the float64 master nets.
 
 Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
 only its input and parameters (GroupNorm also its per-group statistics). The
-convolutions' vjps rebuild their im2col frames from the input with tape
-primitives, so a backward pass with ``create_graph=True`` still
-differentiates through them; each weight gradient is one flat GEMM over the
-whole batch. GroupNorm includes the SiLU that follows it everywhere it is
-used, and is off the critic's path: its vjp recomputes the activation in
-numpy, is first-order only, and raises under ``create_graph=True``.
+convolutions' vjps rebuild their im2col frames with tape primitives, so a
+backward pass with ``create_graph=True`` still differentiates through them.
+Each weight gradient is one flat GEMM over the whole batch, on batch-flat
+frames (C*k, B*L) of the input (Conv1d) or of the output gradient
+(ConvTranspose1d), a gather that copies whole time rows. GroupNorm includes
+the SiLU that follows it everywhere it is used, and is off the critic's path:
+its vjp recomputes the activation in numpy, is first-order only, and raises
+under ``create_graph=True``.
 """
 
 from __future__ import annotations
@@ -147,13 +149,13 @@ class Conv1d(Module):
         def vjp(g):
             gx = gw = None
             w2 = weight.reshape(w2_shape)
+            if weight.requires_grad:
+                # one GEMM over the whole batch; run before gx, as that lowers peak RSS
+                g_t = g.swapaxes(1, 2).reshape((-1, w2_shape[0]))
+                gw = matmul(_unfold(x, k, s, p, batch_flat=True), g_t)
+                gw = gw.swapaxes(0, 1).reshape(weight.shape)
             if x.requires_grad:
                 gx = _fold(matmul(w2.swapaxes(-1, -2), g), x.shape[2], k, s, p)
-            if weight.requires_grad:
-                # one (C_out, B*L) @ (B*L, C_in*k) product, not B products summed
-                cols_t = _unfold(x, k, s, p, time_major=True)
-                gw = matmul(_batch_columns(g), cols_t.reshape((-1, w2_shape[1])))
-                gw = gw.reshape(weight.shape)
             return gx, gw, _unbroadcast(g, bias.shape)
 
         return Tensor._result(data, (x, weight, bias), vjp, "conv1d")
@@ -191,20 +193,15 @@ class ConvTranspose1d(Module):
 
         def vjp(g):
             gx = gw = None
-            cols = _unfold(g, k, s, p)                                 # (B, c_out*k, L)
             if x.requires_grad:
-                gx = matmul(weight.reshape(w2_shape), cols)
+                gx = matmul(weight.reshape(w2_shape), _unfold(g, k, s, p))
             if weight.requires_grad:
-                cols_t = cols.swapaxes(1, 2).reshape((-1, w2_shape[1]))  # (B*L, c_out*k)
-                gw = matmul(_batch_columns(x), cols_t).reshape(weight.shape)
+                frames = _unfold(g, k, s, p, batch_flat=True)          # (c_out*k, B*L)
+                x_t = x.swapaxes(1, 2).reshape((-1, w2_shape[0]))
+                gw = matmul(frames, x_t).swapaxes(0, 1).reshape(weight.shape)
             return gx, gw, _unbroadcast(g, bias.shape)
 
         return Tensor._result(data, (x, weight, bias), vjp, "conv_transpose1d")
-
-
-def _batch_columns(t: Tensor) -> Tensor:
-    """(B, C, L) -> (C, B*L): the batch laid out along the columns."""
-    return t.swapaxes(0, 1).reshape((t.shape[1], -1))
 
 
 class Embedding(Module):

@@ -91,6 +91,8 @@ class EmaShadow:
     def state(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.shadow.items()}
 
-    def load(self, state: dict[str, np.ndarray]) -> None:
+    def load(self, state: dict[str, np.ndarray], updates: int) -> None:
+        """Restore a shadow and its count, which ``last`` records in ``ema_updates``."""
+        self.updates = int(updates)
         for k in self.shadow:
             self.shadow[k] = np.asarray(state[k], dtype=np.float64).copy()

@@ -350,10 +350,10 @@ def silu(x: Tensor) -> Tensor:
     return Tensor._result(data, (x,), vjp, "silu")
 
 
-def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = False) -> Tensor:
+def _unfold(x: Tensor, size: int, stride: int, pad: int, batch_flat: bool = False) -> Tensor:
     """Sliding frames of ``x`` (B, C, L) zero-padded by ``pad`` at both ends, in
     one gather: (B, C*size, F), row c*size + k of frame f holding the padded
-    x[b, c, f*stride + k]; with ``time_major``, its (B, F, C*size) transpose."""
+    x[b, c, f*stride + k]; with ``batch_flat``, (C*size, B*F), column b*F + f."""
     b, c, length = x.data.shape
     if size > length + 2 * pad:
         raise ValueError(f"frame size {size} exceeds length {length + 2 * pad}")
@@ -361,15 +361,16 @@ def _unfold(x: Tensor, size: int, stride: int, pad: int, time_major: bool = Fals
     padded = np.zeros((b, c, length + 2 * pad), dtype=x.data.dtype)
     padded[:, :, pad: pad + length] = x.data
     sb, sc, st = padded.strides
-    if time_major:
-        view = as_strided(padded, (b, frames, c, size), (sb, stride * st, sc, st))
-        data = np.ascontiguousarray(view).reshape(b, frames, c * size)
+    if batch_flat:
+        view = as_strided(padded, (c, size, b, frames), (sc, st, sb, stride * st))
+        data = np.ascontiguousarray(view).reshape(c * size, b * frames)
     else:
         view = as_strided(padded, (b, c, size, frames), (sb, sc, st, stride * st))
         data = np.ascontiguousarray(view).reshape(b, c * size, frames)
 
     def vjp(g):
-        return (_fold(g.swapaxes(1, 2) if time_major else g, length, size, stride, pad),)
+        g = g.reshape((c * size, b, frames)).swapaxes(0, 1) if batch_flat else g
+        return (_fold(g, length, size, stride, pad),)
 
     return Tensor._result(data, (x,), vjp, "unfold")
 

@@ -442,9 +442,7 @@ class RecordingTwin(training.Twin):
         self.made.append(self)
 
 
-# the generator's loss has no spectral term, so its weight is 0
-@pytest.mark.parametrize("spectral", [0.0])
-def test_gan_twin_gradients_stay_float32(monkeypatch, spectral):
+def test_gan_twin_gradients_stay_float32(monkeypatch):
     """After one step both twins hold float32 parameters and gradients, and
     the master nets float64 ones."""
     monkeypatch.setattr(RecordingTwin, "made", [])

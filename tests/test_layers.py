@@ -421,7 +421,7 @@ class TestFusedNodes:
     def test_conv_gradients_match_batched_composite(self, cls, composite, shape):
         """The convolutions' vjps run the composite's numpy ops in the same
         order for the input and bias gradients, which do not change by a bit.
-        The weight gradient is one flat GEMM over the batch where the
+        The weight gradient is one flat GEMM over batch-flat frames where the
         composite sums a stack of per-window products, so it agrees to 1e-13."""
         layer, x = make_layer(cls, shape)
         grads = []

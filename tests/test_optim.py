@@ -127,6 +127,22 @@ class TestEma:
         assert abs(ema.shadow["theta"][0] - 1.0) < abs(ema.shadow["theta"][0] - 0.0)
         assert ema.updates == 20
 
+    def test_load_restores_the_update_count(self):
+        """A shadow loaded with its count takes the next update exactly as the
+        one it was saved from; loaded at count 0 it would decay by 0.1."""
+        params = quadratic_param(0.0)
+        ema = EmaShadow(params, decay=0.999)
+        for step in range(5):
+            params["theta"].data = np.array([float(step + 1)])
+            ema.update(params)
+        loaded = EmaShadow(quadratic_param(0.0), decay=0.999)
+        loaded.load(ema.state(), ema.updates)
+        params["theta"].data = np.array([-3.0])
+        ema.update(params)
+        loaded.update(params)
+        assert loaded.updates == ema.updates == 6
+        assert np.array_equal(loaded.shadow["theta"], ema.shadow["theta"])
+
     def test_decay_validation(self):
         with pytest.raises(ValueError):
             EmaShadow(quadratic_param(), decay=1.0)

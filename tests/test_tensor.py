@@ -188,7 +188,7 @@ class TestPrimitiveGradients:
         for pad in (0, 3):
             frames = (10 + 2 * pad - 4) // 2 + 1
             check_grads(lambda t: (_unfold(t[0], 4, 2, pad) ** 2).sum(), [x])
-            check_grads(lambda t: (_unfold(t[0], 4, 2, pad, time_major=True) ** 2).sum(), [x])
+            check_grads(lambda t: (_unfold(t[0], 4, 2, pad, batch_flat=True) ** 2).sum(), [x])
             cols = RNG.standard_normal((2, 3 * 4, frames))
             check_grads(lambda t: (_fold(t[0], 10, 4, 2, pad) ** 2).sum(), [cols])
             # exact adjointness: <unfold(x), y> == <x, fold(y)>
@@ -196,9 +196,35 @@ class TestPrimitiveGradients:
             lhs = float((_unfold(Tensor(x), 4, 2, pad).data * y).sum())
             rhs = float((x * _fold(Tensor(y), 10, 4, 2, pad).data).sum())
             assert lhs == pytest.approx(rhs, rel=1e-12)
-            # the time-major frames are the transpose of the channel-major ones
-            assert np.array_equal(_unfold(Tensor(x), 4, 2, pad, time_major=True).data,
-                                  _unfold(Tensor(x), 4, 2, pad).data.swapaxes(1, 2))
+            # the same for the batch-flat frames and their vjp, a fold
+            y = RNG.standard_normal((12, 2 * frames))
+            xt = Tensor(x, requires_grad=True)
+            flat = _unfold(xt, 4, 2, pad, batch_flat=True)
+            (gx,) = grad((flat * Tensor(y)).sum(), [xt])
+            assert float((flat.data * y).sum()) == pytest.approx(float((x * gx.data).sum()),
+                                                                 rel=1e-12)
+            # batch-flat (C*k, B*F) and channel-major (B, C*k, F) hold the same frames
+            assert np.array_equal(flat.data.reshape(3, 4, 2, frames),
+                                  _unfold(Tensor(x), 4, 2, pad).data.reshape(2, 3, 4, frames)
+                                  .transpose(1, 2, 0, 3))
+
+    def test_batch_flat_frames_second_order(self):
+        """FD of a squared input-gradient norm through the batch-flat frames
+        and a weight (the gradient penalty's pattern), w.r.t. both."""
+        x0 = RNG.standard_normal((2, 3, 10))
+        w0 = RNG.standard_normal((2, 12))
+        for pad in (0, 3):
+            def penalty(arrs):
+                x, w = (Tensor(v, requires_grad=True) for v in arrs)
+                out = matmul(w, _unfold(x, 4, 2, pad, batch_flat=True)).tanh()
+                (gx,) = grad((out * out).sum(), [x], create_graph=True)
+                return (gx * gx).sum(), [x, w]
+
+            out, tensors = penalty([x0, w0])
+            analytic = [g.data for g in grad(out, tensors)]
+            numeric = numeric_grad(lambda arrs: penalty(arrs)[0].item(), [x0.copy(), w0.copy()])
+            for an, n in zip(analytic, numeric):
+                assert np.allclose(an, n, rtol=1e-5, atol=1e-8), f"analytic {an}\nnumeric {n}"
 
     def test_gather_rows(self):
         table = RNG.standard_normal((6, 4))
