@@ -2,8 +2,10 @@
 
 Every command writes a run record (config hash, seed, code version,
 timestamps) next to its outputs; all other outputs are byte-deterministic
-given the same configuration and seed. Exit codes: 0 success, 1 internal
-failure, 2 user/config error.
+given the same configuration and seed. The seed is `config.effective_seed`:
+`sample --seed`, else ARTIFACTGEN_SEED, else the config's seed (0 for
+`sample`, which reads no config). Exit codes: 0 success, 1 internal failure,
+2 user/config error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import resource
 import sys
 import traceback
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import SEED_ENV, ConfigError, effective_seed, load_config
 from .diffusion import SamplerConfig, load_unet, sample, train_ddpm
 from .gan import load_generator, train_wgan
 from .manifest import (
@@ -43,7 +44,6 @@ from .normalize import MINMAX_WINDOW, ZSCORE_RECORDING, minmax_normalize, zscore
 from .synthetic import generate_corpus, recording_from_npz
 from .windowing import ClassMap, extract_windows
 
-SEED_ENV = "ARTIFACTGEN_SEED"
 # The normalization each model trains on, by checkpoint model name.
 MODEL_SCHEME = {"wgan": MINMAX_WINDOW, "ddpm": ZSCORE_RECORDING}
 # WGAN `sample` runs the generator on about this many windows at a time, which
@@ -56,24 +56,6 @@ SAMPLE_CHUNK = 32
 # hold float64 weights: both trainers keep float64 master weights while their
 # nets compute in `training.TRAIN_DTYPE`. The DDIM update itself stays float64.
 SAMPLE_DTYPE = np.float32
-
-
-def _effective_seed(config_seed: int, cli_seed: int | None = None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got '{env}'") from exc
-    return config_seed
-
-
-def _apply_seed(cfg: RunConfig, seed: int) -> None:
-    cfg.seed = seed
-    cfg.gan.seed = seed
-    cfg.ddpm.seed = seed
 
 
 def _write_run_record(out_dir: Path, command: str, cfg_hash: str, seed: int,
@@ -117,14 +99,12 @@ def _auto_split(subjects: list[str]) -> dict[str, str]:
 def cmd_curate(args) -> int:
     started = _utcnow()
     cfg = load_config(args.config)
-    seed = _effective_seed(cfg.seed)
-    _apply_seed(cfg, seed)
     out_dir = Path(args.out or cfg.output_dir) / "dataset"
     class_map = read_class_map_csv(args.class_map) if args.class_map else ClassMap()
 
     if args.synthetic:
         recordings = generate_corpus(args.n_per_class, fs=cfg.data.sample_rate,
-                                     seed=seed, channel_names=cfg.data.channels)
+                                     seed=cfg.seed, channel_names=cfg.data.channels)
     else:
         if not args.input:
             raise ConfigError("curate needs either --synthetic or --input DIR")
@@ -140,6 +120,9 @@ def cmd_curate(args) -> int:
     windows, labels, subjects, stats = [], [], [], []
     rejections: list[str] = []
     for rec in recordings:
+        if rec.fs != cfg.data.sample_rate:
+            raise ConfigError(f"recording '{rec.rec_id}' is sampled at {rec.fs:g} Hz, but "
+                              f"data.sample_rate is {cfg.data.sample_rate:g} Hz")
         if scheme == ZSCORE_RECORDING:
             rec, rec_stats = zscore_normalize(rec)
         x, y = extract_windows(rec, cfg.data.window_seconds, cfg.data.overlap,
@@ -158,12 +141,12 @@ def cmd_curate(args) -> int:
     if not windows:
         raise ConfigError("curation produced no windows")
     manifest = write_windows(windows, labels, subjects, stats, out_dir, split_of, cfg.hash(),
-                             seed, class_map, scheme)
+                             cfg.seed, class_map, scheme)
     manifest.save(out_dir / "manifest.json")
     report = validate_split(manifest)
     write_split_csv(out_dir / "split.csv", {s: split_of[s] for s in set(subjects)})
     write_class_map_csv(out_dir / "class_map.csv", class_map)
-    _write_run_record(out_dir, "curate", cfg.hash(), seed, started)
+    _write_run_record(out_dir, "curate", cfg.hash(), cfg.seed, started)
 
     print(f"curated {len(windows)} windows -> {out_dir}")
     for split in ("train", "val", "test"):
@@ -178,8 +161,6 @@ def cmd_curate(args) -> int:
 def cmd_train(args) -> int:
     started = _utcnow()
     cfg = load_config(args.config)
-    seed = _effective_seed(cfg.seed)
-    _apply_seed(cfg, seed)
     manifest = Manifest.load(args.manifest)
     base = Path(args.manifest).parent
 
@@ -194,14 +175,14 @@ def cmd_train(args) -> int:
                      if k != "step")
     print(f"{args.model}: {len(result.history)} steps, best step {result.best_step}, "
           f"final {final or 'none'}")
-    _write_run_record(out_dir, f"train:{args.model}", cfg.hash(), seed, started)
+    _write_run_record(out_dir, f"train:{args.model}", cfg.hash(), cfg.seed, started)
     print(f"checkpoints and loss log -> {out_dir}")
     return 0
 
 
 def cmd_sample(args) -> int:
     started = _utcnow()
-    seed = _effective_seed(0, args.seed)
+    seed = effective_seed(0, args.seed)
     out_dir = Path(args.out)
     if any(out_dir.glob("*.agw")) or (out_dir / "provenance.json").exists():
         raise ConfigError(f"--out '{out_dir}' already holds sampled windows; `evaluate` "
@@ -270,7 +251,6 @@ def cmd_evaluate(args) -> int:
     if not fake_dirs:
         raise ConfigError("evaluate needs at least one --fake NAME=DIR")
     cfg = load_config(args.config)
-    seed = _effective_seed(cfg.seed)
     manifest = Manifest.load(args.real)
     split = None if args.split == "all" else args.split
     real = WindowSet(*load_window_set(manifest, Path(args.real).parent, split=split)[:2],
@@ -304,12 +284,12 @@ def cmd_evaluate(args) -> int:
     report = compute_report(
         real, fakes, welch=welch, max_lag=cfg.eval.max_lag, knn_k=cfg.eval.knn_k,
         normalization=manifest.scheme,
-        seeds={"seed": seed, "manifest_seed": manifest.seed},
+        seeds={"seed": cfg.seed, "manifest_seed": manifest.seed},
     )
     out_path = Path(args.out) if args.out else Path(cfg.output_dir) / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     report.save(out_path)
-    _write_run_record(out_path.parent, "evaluate", cfg.hash(), seed, started)
+    _write_run_record(out_path.parent, "evaluate", cfg.hash(), cfg.seed, started)
     print(render_table(report))
     print(f"\nreport -> {out_path}")
     return 0

@@ -1,13 +1,16 @@
 """Strict YAML run configuration.
 
 Unknown keys are rejected anywhere in the document (a typo must fail loudly,
-not silently train with defaults). The resolved configuration (defaults
-applied) is what gets serialized and hashed alongside every run.
+not silently train with defaults). The environment variable ARTIFACTGEN_SEED,
+when set, replaces the file's seed as the file is loaded, so the resolved
+configuration (defaults and seed applied) is the one that runs, and the one
+that gets serialized and hashed alongside every run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,11 +22,27 @@ from .manifest import config_hash
 from .normalize import MINMAX_WINDOW, SCHEMES
 from .windowing import CANONICAL_CHANNELS
 
-__all__ = ["ConfigError", "DataConfig", "EvalConfig", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "DataConfig", "EvalConfig", "RunConfig", "effective_seed",
+           "load_config"]
+
+SEED_ENV = "ARTIFACTGEN_SEED"
 
 
 class ConfigError(ValueError):
     """User-facing configuration problem (maps to exit code 2)."""
+
+
+def effective_seed(default: int, override: int | None = None) -> int:
+    """``override`` if given, else ARTIFACTGEN_SEED if set, else ``default``."""
+    if override is not None:
+        return override
+    env = os.environ.get(SEED_ENV)
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV} must be an integer, got '{env}'") from exc
 
 
 @dataclass
@@ -60,16 +79,10 @@ class RunConfig:
     ddpm: DiffusionTrainConfig = field(default_factory=DiffusionTrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
-    def resolved(self) -> dict:
-        """Full configuration with defaults applied, JSON-serializable."""
-        out = dataclasses.asdict(self)
-        out["data"]["channels"] = list(self.data.channels)
-        out["gan"]["channels"] = list(self.gan.channels)
-        out["ddpm"]["widths"] = list(self.ddpm.widths)
-        return out
-
     def hash(self) -> str:
-        return config_hash(self.resolved())
+        """SHA-256 of the full configuration, defaults applied; JSON writes
+        its tuples as lists."""
+        return config_hash(dataclasses.asdict(self))
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -96,7 +109,10 @@ def _build(cls, node: dict, path: str):
 
 def load_config(path: str | Path) -> RunConfig:
     with open(path) as f:
-        doc = yaml.safe_load(f)
+        try:
+            doc = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
     doc = _require_mapping(doc, "<root>")
 
     allowed_top = {"seed", "output_dir", "data", "model", "eval"}
@@ -110,7 +126,7 @@ def load_config(path: str | Path) -> RunConfig:
     unknown_model = set(model) - {"gan", "ddpm"}
     if unknown_model:
         raise ConfigError(f"unknown key(s) {sorted(unknown_model)} under 'model'")
-    seed = int(doc.get("seed", 0))
+    seed = effective_seed(int(doc.get("seed", 0)))
 
     models = {}
     for key, cls in (("gan", GanTrainConfig), ("ddpm", DiffusionTrainConfig)):

@@ -260,16 +260,10 @@ def denoise_loss(net, x0: np.ndarray, y: np.ndarray, sched: BetaSchedule,
 
 
 def cfg_epsilon(eps_cond: np.ndarray, eps_null: np.ndarray, w: float) -> np.ndarray:
-    """Guided noise estimate eps_null + w * (eps_cond - eps_null).
-
-    w = 1 returns the conditional branch bit-exactly, w = 0 the null branch.
-    """
+    """Guided noise estimate eps_null + w * (eps_cond - eps_null); `sample`
+    skips the null branch at w = 1 itself."""
     if eps_cond.shape != eps_null.shape:
         raise ValueError("guidance branches must have the same shape")
-    if w == 1.0:
-        return eps_cond
-    if w == 0.0:
-        return eps_null
     return eps_null + w * (eps_cond - eps_null)
 
 

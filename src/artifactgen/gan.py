@@ -70,8 +70,8 @@ class GanTrainConfig:
     early_stop_patience: int | None = None  # epochs without smoothed-loss improvement
 
     def __post_init__(self):
-        if self.lambda_gp < 0:
-            raise ValueError("lambda_gp must be >= 0")
+        if self.lambda_gp <= 0:
+            raise ValueError(f"lambda_gp must be > 0, got {self.lambda_gp}")
         if self.n_critic < 1:
             raise ValueError("n_critic must be >= 1")
         if not 0.0 <= self.leaky_slope <= 1.0:
@@ -234,13 +234,9 @@ def train_wgan(
                 x_fake = gen32(z, y).data
             critic32.zero_grad()
             d_loss = critic32(x_fake, y).mean() - critic32(x_real, y).mean()
-            if cfg.lambda_gp > 0:
-                gp = gradient_penalty(critic32, x_real, x_fake, y, cfg.lambda_gp, rng)
-                d_total = d_loss + gp
-                gps.append(gp.item())
-            else:
-                d_total = d_loss
-                gps.append(0.0)
+            gp = gradient_penalty(critic32, x_real, x_fake, y, cfg.lambda_gp, rng)
+            d_total = d_loss + gp
+            gps.append(gp.item())
             backward(d_total)
             critic_twin.update(opt_d.step)
             d_losses.append(d_total.item())

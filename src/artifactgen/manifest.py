@@ -231,6 +231,8 @@ def read_class_map_csv(path: str | Path) -> ClassMap:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: malformed row {row!r}")
             pairs.append((row[0].strip(), int(row[1])))
     pairs.sort(key=lambda p: p[1])
     if [i for _, i in pairs] != list(range(len(pairs))):

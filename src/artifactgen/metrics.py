@@ -335,8 +335,6 @@ def compute_report(
             "per_class": {str(c): a for c, a in rec["per_class"].items()},
             "macro": rec["macro"], "k": rec["k"],
         }
-    if "ddpm" in fakes and "wgan" in fakes:
-        metrics["mmd_ddpm_wgan"] = mmd_unbiased(fakes["ddpm"], fakes["wgan"])
 
     meta = {
         "welch": welch.to_dict(),
@@ -376,8 +374,6 @@ def render_table(report: MetricReport) -> str:
         for name in models:
             row += f"{m[f'{key}_{name}']:.6g}".rjust(width)
         lines.append(row)
-    if "mmd_ddpm_wgan" in m:
-        lines.append("mmd_ddpm_wgan".ljust(width) + f"{m['mmd_ddpm_wgan']:.6g}".rjust(width))
     lines.append("diversity_real".ljust(width) + f"{m['diversity_real']:.6g}".rjust(width))
 
     lines.append("")

@@ -12,9 +12,10 @@ rather than return a gradient that the new graph would treat as a constant.
 A graph can be backpropagated once unless ``create_graph=True``: a plain
 backward pass releases each node's vjp and parents as soon as it has run,
 so the tape is freed while the walk goes on, and a second pass through the
-released graph raises. No vjp closure holds its own output node, so a tape
-that is dropped without a backward pass is freed by reference counting
-alone, and under `no_grad` no closure is stored at all.
+released graph raises. A vjp closure holds only its op's inputs; a rule
+that needs the output (tanh, sigmoid, sqrt, div) recomputes it from them.
+So a tape that is dropped without a backward pass is freed by reference
+counting alone, and under `no_grad` no closure is stored at all.
 
 Values are float64 or float32. A tensor keeps a float32 array as float32 and
 stores anything else as float64, and every op computes in the dtype of its
@@ -27,7 +28,6 @@ derivative in second-order passes.
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -64,7 +64,7 @@ class Tensor:
     """A float64 or float32 array with optional derivative tracking; see the
     module docstring for the dtype rule."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -91,19 +91,6 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
             out._vjp = None
-        return out
-
-    @staticmethod
-    def _result_of_output(data: np.ndarray, parents: tuple["Tensor", ...], vjp,
-                          op: str) -> "Tensor":
-        """`_result` for a vjp that reads the op's own output: ``vjp(g, out)``.
-
-        The stored closure holds the output weakly, so the node is no cycle.
-        """
-        out = Tensor._result(data, parents, None, op)
-        if out.requires_grad:
-            ref = weakref.ref(out)
-            out._vjp = lambda g: vjp(g, ref())
         return out
 
     # ---- basic introspection ----------------------------------------------
@@ -156,9 +143,9 @@ class Tensor:
 
     def __truediv__(self, other):
         a, b = self, _as_tensor(other, self)
-        return Tensor._result_of_output(a.data / b.data, (a, b), lambda g, out: (
+        return Tensor._result(a.data / b.data, (a, b), lambda g: (
             _unbroadcast(g / b, a.data.shape),
-            _unbroadcast(-(g * out) / b, b.data.shape)), "div")
+            _unbroadcast(-(g * (a / b)) / b, b.data.shape)), "div")
 
     def __rtruediv__(self, other):
         return _as_tensor(other, self) / self
@@ -180,16 +167,22 @@ class Tensor:
     # ---- elementwise functions ----------------------------------------------
 
     def sqrt(self):
-        return Tensor._result_of_output(np.sqrt(self.data), (self,),
-                                        lambda g, out: (g / (out * 2.0),), "sqrt")
+        return Tensor._result(np.sqrt(self.data), (self,),
+                              lambda g: (g / (self.sqrt() * 2.0),), "sqrt")
 
     def tanh(self):
-        return Tensor._result_of_output(np.tanh(self.data), (self,),
-                                        lambda g, out: (g * (1.0 - out * out),), "tanh")
+        def vjp(g):
+            out = self.tanh()
+            return (g * (1.0 - out * out),)
+
+        return Tensor._result(np.tanh(self.data), (self,), vjp, "tanh")
 
     def sigmoid(self):
-        return Tensor._result_of_output(_sigmoid(self.data), (self,),
-                                        lambda g, out: (g * (out * (1.0 - out)),), "sigmoid")
+        def vjp(g):
+            out = self.sigmoid()
+            return (g * (out * (1.0 - out)),)
+
+        return Tensor._result(_sigmoid(self.data), (self,), vjp, "sigmoid")
 
     # ---- reductions / shape ---------------------------------------------------
 

@@ -2,10 +2,10 @@
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
 and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
 sampling that writes the bytes of one batch, the seed's precedence, and the
-config rejections, refused samplings (bad arguments, a used --out, an old
-checkpoint version or config key), refused evaluations and version-1
-manifests that must exit with code 2, and the pinned bytes of curated
-windows."""
+config rejections, malformed inputs, refused samplings (bad arguments, a used
+--out, an old checkpoint version or config key), refused evaluations and
+version-1 manifests that must exit with code 2, and the pinned bytes of
+curated windows."""
 
 import builtins
 import hashlib
@@ -20,8 +20,10 @@ import yaml
 
 from artifactgen import cli
 from artifactgen.cli import main
+from artifactgen.config import load_config
 from artifactgen.manifest import read_window_file, write_window_file
 from artifactgen.nn import load_checkpoint, save_checkpoint
+from artifactgen.synthetic import generate_corpus, recording_to_npz
 
 GAN = {"channels": [8, 8, 8, 8], "latent_dim": 8, "batch_size": 4, "n_critic": 2, "epochs": 1}
 DDPM = {"widths": [8, 8, 8], "cond_dim": 8, "time_dim": 8, "batch_size": 4, "epochs": 1}
@@ -333,6 +335,22 @@ def test_non_integer_seed_env_exits_2(checkpoints, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "dataset").exists() and not (tmp_path / "fake").exists()
 
 
+def test_evaluate_records_the_hash_of_the_seeded_config(curated, sampled, tmp_path,
+                                                        monkeypatch):
+    """Under ARTIFACTGEN_SEED, evaluate's run record holds the hash of the
+    config with that seed, as curate's and train's do."""
+    config, manifest = curated["gan"]
+    seeded = tmp_path / "seeded.yaml"
+    seeded.write_text(yaml.safe_dump(dict(yaml.safe_load(config.read_text()), seed=7)))
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    want = load_config(seeded).hash()
+    monkeypatch.setenv(cli.SEED_ENV, "7")
+    assert run("evaluate", "--config", config, "--real", manifest,
+               "--fake", f"wgan={sampled['wgan']}", "--out", tmp_path / "report.json") == 0
+    record = json.loads((tmp_path / "run.json").read_text())
+    assert record["seed"] == 7 and record["config_hash"] == want
+
+
 def test_default_pipeline_trains_the_gan(tmp_path, capsys):
     """The default corpus has 207 training windows, fewer than batch_size 64 x
     n_critic 5: the GAN batch shrinks so that one epoch still fills a step."""
@@ -431,10 +449,42 @@ def test_zero_epochs_reports_zero_steps(curated, tmp_path, capsys, model):
     ({"model": {"gan": {"leaky_slope": 1.5}}}, "leaky_slope must be in [0, 1]"),
     ({"model": {"gan": {"leaky_slope": -0.2}}}, "leaky_slope must be in [0, 1]"),
     ({"model": {"gan": {"spectral_loss_weight": 0.5}}}, "spectral_loss_weight"),
+    ({"model": {"gan": {"lambda_gp": 0}}}, "lambda_gp must be > 0"),
 ])
 def test_config_rejected_with_exit_code_2(tmp_path, capsys, doc, message):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(doc))
     assert run("curate", "--config", config, "--synthetic", "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "dataset").exists()
+
+
+def _config_not_yaml(config, tmp_path):
+    config.write_text("seed: [1\n")
+    return ("--synthetic",), "not valid YAML"
+
+
+def _class_map_row_without_index(config, tmp_path):
+    (tmp_path / "map.csv").write_text("label_name,index\nmuscle\n")
+    return ("--synthetic", "--class-map", tmp_path / "map.csv"), "malformed row"
+
+
+def _recordings_at_another_rate(config, tmp_path):
+    (tmp_path / "in").mkdir()
+    for i, rec in enumerate(generate_corpus(1, fs=500.0)):
+        recording_to_npz(rec, tmp_path / "in" / f"r{i}.npz")
+    return ("--input", tmp_path / "in"), "sampled at 500 Hz, but data.sample_rate is 250 Hz"
+
+
+@pytest.mark.parametrize("malform", [
+    _config_not_yaml, _class_map_row_without_index, _recordings_at_another_rate,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_input_exits_2(tmp_path, capsys, malform):
+    """Malformed user input exits 2 with a message, not 1 with a traceback,
+    and curates nothing."""
+    config = write_config(tmp_path / "c.yaml", tmp_path, NORMALIZATION["gan"])
+    args, message = malform(config, tmp_path)
+    assert run("curate", "--config", config, "--n-per-class", 1, *args) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "dataset").exists()

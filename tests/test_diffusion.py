@@ -119,10 +119,12 @@ class TestQSample:
 
 class TestCfgEpsilon:
     def test_identities(self):
+        """The formula alone: w = 1 gives the conditional branch and w = 0 the
+        null branch (`sample` skips the null branch at w = 1 itself)."""
         rng = np.random.default_rng(0)
         c, n = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
-        assert cfg_epsilon(c, n, 1.0) is c
-        assert cfg_epsilon(c, n, 0.0) is n
+        assert np.allclose(cfg_epsilon(c, n, 1.0), c, rtol=0, atol=1e-12)
+        assert np.allclose(cfg_epsilon(c, n, 0.0), n, rtol=0, atol=1e-12)
         assert np.allclose(cfg_epsilon(c, c, 7.3), c, atol=1e-12)
 
     def test_interpolation(self):

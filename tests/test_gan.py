@@ -197,7 +197,7 @@ class TestTrainLoop:
     def test_single_step_updates_touched_params_only(self):
         data, labels = toy_windows(8)
         labels[:] = 0  # class 1 never sampled -> its embedding row must not move
-        cfg = small_cfg(n_critic=1, lambda_gp=0.0, epochs=1, batch_size=8)
+        cfg = small_cfg(n_critic=1, epochs=1, batch_size=8)
         result = train_wgan(data, labels, K, cfg)
         # same construction order as the trainer: generator first, then critic
         rng = np.random.default_rng(cfg.seed)

@@ -154,7 +154,6 @@ def independent_report(real, fakes, welch):
             out[f"knn_recovery_{name}.per_class.{c}"] = acc
         out[f"knn_recovery_{name}.macro"] = macro
         out[f"knn_recovery_{name}.k"] = KNN_K
-    out["mmd_ddpm_wgan"] = reference_mmd(fakes["ddpm"].flat(), fakes["wgan"].flat())
     return out
 
 
@@ -235,7 +234,6 @@ def per_channel_report(real, fakes, welch):
         out[f"acf_l2_{name}"] = float(np.linalg.norm(acf_real - mean_acf(fake)))
         out[f"one_nn_acc_{name}"] = one_nn(real.flat(), fake.flat())
         out[f"knn_recovery_{name}"] = knn(real, fake)
-    out["mmd_ddpm_wgan"] = mmd(fakes["ddpm"].flat(), fakes["wgan"].flat())
     return out
 
 
@@ -284,7 +282,6 @@ def test_public_pair_functions_match_the_report(sets):
     assert rel == {b: m[f"rel_err_{b}_wgan"] for b in rel}
     assert metrics.psd_l2_error(r(), f(), welch) == m["psd_l2_wgan"]
     assert metrics.mmd_unbiased(r(), f()) == m["mmd_r_wgan"]
-    assert metrics.mmd_unbiased(fresh(fakes["ddpm"]), f()) == m["mmd_ddpm_wgan"]
     assert metrics.cov_frobenius(r(), f()) == m["cov_frob_wgan"]
     assert metrics.acf_l2(r(), f(), MAX_LAG) == m["acf_l2_wgan"]
     assert metrics.one_nn_separability(r(), f()) == m["one_nn_acc_wgan"]
@@ -364,8 +361,8 @@ def test_one_welch_call_per_window_set(sets, monkeypatch):
 
 
 def test_one_distance_block_per_pair(sets, monkeypatch):
-    """MMD, 1-NN and kNN of a pair, and the fake-vs-fake MMD, read one block
-    per unordered pair of sets, the within-set blocks included."""
+    """MMD, 1-NN and kNN of a pair read one block per pair of sets that
+    meet, the within-set blocks included; the two fakes never meet."""
     real, fakes = fresh_sets(*sets)
     blocks = {}
     original = WindowSet.sq_dist
@@ -378,7 +375,7 @@ def test_one_distance_block_per_pair(sets, monkeypatch):
 
     monkeypatch.setattr(WindowSet, "sq_dist", recording)
     compute_report(real, fakes, max_lag=MAX_LAG, knn_k=KNN_K)
-    assert len(blocks) == 6    # 3 within-set blocks, real-ddpm, real-wgan, ddpm-wgan
+    assert len(blocks) == 5    # 3 within-set blocks, real-ddpm, real-wgan
     for reads in blocks.values():
         assert all(b is reads[0] for b in reads)
 
@@ -441,7 +438,6 @@ def test_render_table_of_two_models(sets):
         assert rows[band.name] == [f"{m[f'rel_err_{band.name}_{n}']:.6g}" for n in fakes]
     for key in ("psd_l2", "mmd_r", "cov_frob", "acf_l2", "one_nn_acc", "diversity"):
         assert rows[key] == [f"{m[f'{key}_{n}']:.6g}" for n in fakes], key
-    assert rows["mmd_ddpm_wgan"] == [f"{m['mmd_ddpm_wgan']:.6g}"]
     assert rows["diversity_real"] == [f"{m['diversity_real']:.6g}"]
     for p in ("d", "g"):
         assert rows[f"{p}_mu_diff"][:C] == [f"{v:+.4g}" for v in m[f"{p}_mu_diff"]]
