@@ -3,9 +3,10 @@
 Submodules:
     dsp         - Welch PSD, band power, ACF, channel covariance
     windowing   - recordings -> (N, C, L) arrays of fixed-length labeled windows
-    normalize   - per-window min-max and per-recording z-score, with their stats
-    manifest    - AGW1 window files; version-2 JSON manifests (one normalization
-                  scheme per set, per-window stats); split/class-map CSVs
+    normalize   - per-window min-max and per-recording z-score
+    manifest    - AGW1 window files; version-3 JSON manifests (one normalization
+                  scheme and one sampling rate per set, no per-window stats);
+                  split/class-map CSVs; every JSON and CSV record written whole
     synthetic   - parametric labeled artifact corpus for oracle testing
     nn          - reverse-mode autodiff, layers, Adam (with weight decay), EMA, checkpoints
     gan         - conditional WGAN-GP with projection critic

@@ -1,8 +1,9 @@
 """Command-line entry points: curate, train, sample, evaluate.
 
-Every command writes a run record (config hash, seed, code version,
-timestamps) next to its outputs; all other outputs are byte-deterministic
-given the same configuration and seed. The seed is `config.effective_seed`:
+Each command returns where its outputs went, and `main` writes its run
+record (config hash, seed, code version, timestamps, peak RSS) there as
+``run.json``; all other outputs are byte-deterministic given the same
+configuration and seed. The seed is `config.effective_seed`:
 `sample --seed`, else ARTIFACTGEN_SEED, else the config's seed (0 for
 `sample`, which reads no config). Exit codes: 0 success, 1 internal failure,
 2 user/config error.
@@ -34,6 +35,7 @@ from .manifest import (
     read_window_stack,
     validate_split,
     write_class_map_csv,
+    write_json,
     write_split_csv,
     write_window_file,
     write_windows,
@@ -58,29 +60,6 @@ SAMPLE_CHUNK = 32
 SAMPLE_DTYPE = np.float32
 
 
-def _write_run_record(out_dir: Path, command: str, cfg_hash: str, seed: int,
-                      started: str) -> None:
-    finished = datetime.now(timezone.utc)
-    record = {
-        "command": command,
-        "config_hash": cfg_hash,
-        "seed": seed,
-        "code_version": __version__,
-        "started_utc": started,
-        "finished_utc": finished.isoformat(),
-        "elapsed_s": round((finished - datetime.fromisoformat(started)).total_seconds(), 3),
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    }
-    with open(out_dir / "run.json", "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _require_scheme(model: str, manifest: Manifest, what: str) -> None:
     required = MODEL_SCHEME[model]
     if manifest.scheme != required:
@@ -96,8 +75,7 @@ def _auto_split(subjects: list[str]) -> dict[str, str]:
     return {s: order[i % len(order)] for i, s in enumerate(sorted(set(subjects)))}
 
 
-def cmd_curate(args) -> int:
-    started = _utcnow()
+def cmd_curate(args) -> tuple[Path, str, str, int]:
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.output_dir) / "dataset"
     class_map = read_class_map_csv(args.class_map) if args.class_map else ClassMap()
@@ -117,21 +95,18 @@ def cmd_curate(args) -> int:
                 else _auto_split([r.subject_id for r in recordings]))
 
     scheme = cfg.data.normalization
-    windows, labels, subjects, stats = [], [], [], []
+    windows, labels, subjects = [], [], []
     rejections: list[str] = []
     for rec in recordings:
         if rec.fs != cfg.data.sample_rate:
             raise ConfigError(f"recording '{rec.rec_id}' is sampled at {rec.fs:g} Hz, but "
                               f"data.sample_rate is {cfg.data.sample_rate:g} Hz")
         if scheme == ZSCORE_RECORDING:
-            rec, rec_stats = zscore_normalize(rec)
+            rec = zscore_normalize(rec)
         x, y = extract_windows(rec, cfg.data.window_seconds, cfg.data.overlap,
                                class_map, cfg.data.channels, rejections)
         if scheme == MINMAX_WINDOW:
-            x, m, big = minmax_normalize(x)
-            stats += [{"m": a, "M": b} for a, b in zip(m.tolist(), big.tolist())]
-        else:
-            stats += [rec_stats] * len(x)
+            x = minmax_normalize(x)
         # views into each recording's array: concatenated, the set would be in
         # memory twice while its files are written
         windows.extend(x)
@@ -140,13 +115,12 @@ def cmd_curate(args) -> int:
 
     if not windows:
         raise ConfigError("curation produced no windows")
-    manifest = write_windows(windows, labels, subjects, stats, out_dir, split_of, cfg.hash(),
-                             cfg.seed, class_map, scheme)
+    manifest = write_windows(windows, labels, subjects, out_dir, split_of, cfg.hash(),
+                             cfg.seed, class_map, scheme, cfg.data.sample_rate)
     manifest.save(out_dir / "manifest.json")
     report = validate_split(manifest)
     write_split_csv(out_dir / "split.csv", {s: split_of[s] for s in set(subjects)})
     write_class_map_csv(out_dir / "class_map.csv", class_map)
-    _write_run_record(out_dir, "curate", cfg.hash(), cfg.seed, started)
 
     print(f"curated {len(windows)} windows -> {out_dir}")
     for split in ("train", "val", "test"):
@@ -155,11 +129,10 @@ def cmd_curate(args) -> int:
               f"per-class {r['per_class']}")
     if rejections:
         print(f"  rejections: {len(rejections)} (first: {rejections[0]})")
-    return 0
+    return out_dir, "curate", cfg.hash(), cfg.seed
 
 
-def cmd_train(args) -> int:
-    started = _utcnow()
+def cmd_train(args) -> tuple[Path, str, str, int]:
     cfg = load_config(args.config)
     manifest = Manifest.load(args.manifest)
     base = Path(args.manifest).parent
@@ -168,20 +141,17 @@ def cmd_train(args) -> int:
 
     data, labels, _ = load_window_set(manifest, base, split="train")
     out_dir = Path(args.out or cfg.output_dir) / args.model
-    out_dir.mkdir(parents=True, exist_ok=True)
     train, model_cfg = (train_wgan, cfg.gan) if args.model == "gan" else (train_ddpm, cfg.ddpm)
     result = train(data, labels, len(manifest.class_map), model_cfg, out_dir)
     final = " ".join(f"{k} {v:.4g}" for row in result.history[-1:] for k, v in row.items()
                      if k != "step")
     print(f"{args.model}: {len(result.history)} steps, best step {result.best_step}, "
           f"final {final or 'none'}")
-    _write_run_record(out_dir, f"train:{args.model}", cfg.hash(), cfg.seed, started)
     print(f"checkpoints and loss log -> {out_dir}")
-    return 0
+    return out_dir, f"train:{args.model}", cfg.hash(), cfg.seed
 
 
-def cmd_sample(args) -> int:
-    started = _utcnow()
+def cmd_sample(args) -> tuple[Path, str, str, int]:
     seed = effective_seed(0, args.seed)
     out_dir = Path(args.out)
     if any(out_dir.glob("*.agw")) or (out_dir / "provenance.json").exists():
@@ -224,20 +194,15 @@ def cmd_sample(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.num):
         write_window_file(out_dir / f"w{i:06d}.agw", windows[i], args.class_index)
-    with open(out_dir / "provenance.json", "w") as f:
-        json.dump({
-            "model": model, "model_hash": model_hash, "class": args.class_index,
-            "num": args.num, "sampler": sampler_info, "seed": seed,
-            "code_version": __version__,
-        }, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_run_record(out_dir, "sample", model_hash, seed, started)
+    write_json(out_dir / "provenance.json", {
+        "model": model, "model_hash": model_hash, "class": args.class_index,
+        "num": args.num, "sampler": sampler_info, "seed": seed, "code_version": __version__,
+    })
     print(f"wrote {args.num} windows of class {args.class_index} -> {out_dir}")
-    return 0
+    return out_dir, "sample", model_hash, seed
 
 
-def cmd_evaluate(args) -> int:
-    started = _utcnow()
+def cmd_evaluate(args) -> tuple[Path, str, str, int]:
     fake_dirs: dict[str, Path] = {}
     for spec in args.fake or []:
         name, _, d = spec.partition("=")
@@ -252,9 +217,12 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs at least one --fake NAME=DIR")
     cfg = load_config(args.config)
     manifest = Manifest.load(args.real)
+    if manifest.fs != cfg.data.sample_rate:
+        raise ConfigError(f"{args.real}: its windows were cut at {manifest.fs:g} Hz, but "
+                          f"data.sample_rate is {cfg.data.sample_rate:g} Hz")
     split = None if args.split == "all" else args.split
     real = WindowSet(*load_window_set(manifest, Path(args.real).parent, split=split)[:2],
-                     origin="real", fs=cfg.data.sample_rate)
+                     origin="real", fs=manifest.fs)
 
     fakes: dict[str, WindowSet] = {}
     for name, fake_dir in fake_dirs.items():
@@ -278,7 +246,7 @@ def cmd_evaluate(args) -> int:
             if lab != prov.get("class"):
                 raise ConfigError(f"--fake {name}: {fp} has label {lab}, but "
                                   f"its provenance.json records class {prov.get('class')}")
-        fakes[name] = WindowSet(data, labels, origin=name, fs=cfg.data.sample_rate)
+        fakes[name] = WindowSet(data, labels, origin=name, fs=manifest.fs)
 
     welch = WelchSettings(nperseg=cfg.eval.nperseg, overlap=cfg.eval.overlap)
     report = compute_report(
@@ -288,11 +256,10 @@ def cmd_evaluate(args) -> int:
     )
     out_path = Path(args.out) if args.out else Path(cfg.output_dir) / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    report.save(out_path)
-    _write_run_record(out_path.parent, "evaluate", cfg.hash(), cfg.seed, started)
+    write_json(out_path, report.to_dict())
     print(render_table(report))
     print(f"\nreport -> {out_path}")
-    return 0
+    return out_path.parent, "evaluate", cfg.hash(), cfg.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        started = datetime.now(timezone.utc)
+        out_dir, command, cfg_hash, seed = args.func(args)
+        finished = datetime.now(timezone.utc)
+        write_json(out_dir / "run.json", {
+            "command": command, "config_hash": cfg_hash, "seed": seed,
+            "code_version": __version__, "started_utc": started.isoformat(),
+            "finished_utc": finished.isoformat(),
+            "elapsed_s": round((finished - started).total_seconds(), 3),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        })
+        return 0
     except (ConfigError, SplitViolation, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,9 +80,11 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def hash(self) -> str:
-        """SHA-256 of the full configuration, defaults applied; JSON writes
-        its tuples as lists."""
-        return config_hash(dataclasses.asdict(self))
+        """SHA-256 of the configuration, defaults applied, without the
+        ``output_dir`` it writes to; JSON writes its tuples as lists."""
+        doc = dataclasses.asdict(self)
+        del doc["output_dir"]
+        return config_hash(doc)
 
 
 def _require_mapping(node, path: str) -> dict:

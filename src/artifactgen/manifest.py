@@ -1,11 +1,14 @@
-"""Window files, manifests, split and class-map CSVs.
+"""Window files, manifests, split and class-map CSVs, and the one JSON writer.
 
 Window binary format "AGW1": magic, little-endian u32 C, u32 L, u32 label,
 then C*L float32 values channel-major, one file per window. The manifest
-(version 2) is a JSON document with the run's config hash and seed, the class
-map, one top-level ``"normalization": {"scheme", "eps"}`` for the whole set,
-and one entry per window: its ``path``, ``label``, ``subject``, ``split`` and
-the normalization ``stats`` that invert it. Other versions are refused.
+(version 3) is a JSON document with the run's config hash and seed, the class
+map, the sampling rate ``fs`` the windows were cut at, one top-level
+``"normalization": {"scheme", "eps"}`` for the whole set, and one entry per
+window: its ``path``, ``label``, ``subject`` and ``split``. Other versions are
+refused. `write_json` writes the manifest and every other JSON record whole
+(through `nn.checkpoint.atomic_open`), as the CSV writers write theirs, so a
+failed write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import json
 import struct
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .nn.checkpoint import atomic_open
 from .normalize import EPS, SCHEMES
 from .windowing import ClassMap
 
@@ -41,10 +45,11 @@ __all__ = [
     "read_class_map_csv",
     "read_window_stack",
     "load_window_set",
+    "write_json",
 ]
 
 MAGIC = b"AGW1"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 SPLITS = ("train", "val", "test")
 
 _HEADER = struct.Struct("<4sIII")
@@ -78,22 +83,20 @@ def read_window_file(path: str | Path) -> tuple[np.ndarray, int]:
     return data, int(label)
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON with a final newline; a
+    failed write leaves the previous file."""
+    with atomic_open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 @dataclass
 class ManifestEntry:
     path: str
     label: int
     subject: str
     split: str
-    stats: dict
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "label": self.label, "subject": self.subject,
-                "split": self.split, "stats": self.stats}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ManifestEntry":
-        return cls(path=d["path"], label=int(d["label"]), subject=d["subject"],
-                   split=d["split"], stats=dict(d["stats"]))
 
 
 @dataclass
@@ -102,6 +105,7 @@ class Manifest:
     seed: int
     class_map: ClassMap
     scheme: str
+    fs: float
     entries: list[ManifestEntry] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -110,14 +114,13 @@ class Manifest:
             "config_hash": self.config_hash,
             "seed": self.seed,
             "class_map": self.class_map.as_pairs(),
+            "fs": self.fs,
             "normalization": {"scheme": self.scheme, "eps": EPS},
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
@@ -130,15 +133,14 @@ class Manifest:
         if norm.get("scheme") not in SCHEMES or norm.get("eps") != EPS:
             raise ValueError(f"{path}: unknown normalization {norm}; expected a scheme "
                              f"in {SCHEMES} with eps {EPS}")
-        pairs = sorted(d["class_map"], key=lambda p: p[1])
-        if [i for _, i in pairs] != list(range(len(pairs))):
-            raise ValueError("class map indices must be 0..K-1")
         return cls(
             config_hash=d["config_hash"],
             seed=int(d["seed"]),
-            class_map=ClassMap(tuple(n for n, _ in pairs)),
+            class_map=ClassMap.from_pairs(d["class_map"]),
             scheme=norm["scheme"],
-            entries=[ManifestEntry.from_dict(e) for e in d["entries"]],
+            fs=float(d["fs"]),
+            entries=[ManifestEntry(e["path"], int(e["label"]), e["subject"], e["split"])
+                     for e in d["entries"]],
         )
 
 
@@ -183,93 +185,81 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def write_split_csv(path: str | Path, assignment: dict[str, str]) -> None:
-    with open(path, "w", newline="") as f:
+def _write_pairs(path: str | Path, header: tuple[str, str], rows) -> None:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["subject_id", "split"])
-        for subject in sorted(assignment):
-            w.writerow([subject, assignment[subject]])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_pairs(path: str | Path, header: tuple[str, str]) -> list[tuple[str, str]]:
+    """The stripped two-field rows under ``header``; blank rows are skipped."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or [h.strip() for h in rows[0]] != list(header):
+        raise ValueError(f"{path}: expected header '{','.join(header)}'")
+    pairs = []
+    for row in filter(None, rows[1:]):
+        if len(row) != 2:
+            raise ValueError(f"{path}: malformed row {row!r}")
+        pairs.append((row[0].strip(), row[1].strip()))
+    return pairs
+
+
+def write_split_csv(path: str | Path, assignment: dict[str, str]) -> None:
+    _write_pairs(path, ("subject_id", "split"), sorted(assignment.items()))
 
 
 def read_split_csv(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["subject_id", "split"]:
-            raise ValueError(f"{path}: expected header 'subject_id,split'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            subject, split = row[0].strip(), row[1].strip()
-            if split not in SPLITS:
-                raise ValueError(f"{path}: unknown split '{split}' for subject '{subject}'")
-            if subject in out and out[subject] != split:
-                raise SplitViolation(f"subject '{subject}' assigned to both "
-                                     f"'{out[subject]}' and '{split}'")
-            out[subject] = split
+    for subject, split in _read_pairs(path, ("subject_id", "split")):
+        if split not in SPLITS:
+            raise ValueError(f"{path}: unknown split '{split}' for subject '{subject}'")
+        if subject in out and out[subject] != split:
+            raise SplitViolation(f"subject '{subject}' assigned to both "
+                                 f"'{out[subject]}' and '{split}'")
+        out[subject] = split
     return out
 
 
 def write_class_map_csv(path: str | Path, class_map: ClassMap) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label_name", "index"])
-        for name, idx in class_map.as_pairs():
-            w.writerow([name, idx])
+    _write_pairs(path, ("label_name", "index"), class_map.as_pairs())
 
 
 def read_class_map_csv(path: str | Path) -> ClassMap:
-    pairs: list[tuple[str, int]] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["label_name", "index"]:
-            raise ValueError(f"{path}: expected header 'label_name,index'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            pairs.append((row[0].strip(), int(row[1])))
-    pairs.sort(key=lambda p: p[1])
-    if [i for _, i in pairs] != list(range(len(pairs))):
-        raise ValueError(f"{path}: indices must be exactly 0..K-1")
-    return ClassMap(tuple(n for n, _ in pairs))
+    return ClassMap.from_pairs(
+        (name, int(index)) for name, index in _read_pairs(path, ("label_name", "index")))
 
 
 def write_windows(
     windows: Sequence[np.ndarray],
     labels: Sequence[int],
     subjects: list[str],
-    stats: list[dict],
     out_dir: str | Path,
     split_of: dict[str, str],
     cfg_hash: str,
     seed: int,
     class_map: ClassMap,
     scheme: str,
+    fs: float,
 ) -> Manifest:
     """Write each (C, L) window (a list of them, or an (N, C, L) array) as an
     AGW1 file under ``out_dir`` and build the manifest: window i has
-    ``labels[i]``, ``subjects[i]`` and ``stats[i]``, and all of them were
+    ``labels[i]`` and ``subjects[i]``, all of them were cut at ``fs`` and
     normalized by ``scheme``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, (window, label, subject, window_stats) in enumerate(
-            zip(windows, map(int, labels), subjects, stats, strict=True)):
+    for i, (window, label, subject) in enumerate(
+            zip(windows, map(int, labels), subjects, strict=True)):
         split = split_of.get(subject)
         if split is None:
             raise ValueError(f"subject '{subject}' missing from split assignment")
         name = f"w{i:06d}.agw"
         write_window_file(out_dir / name, window, label)
-        entries.append(ManifestEntry(path=name, label=label, subject=subject, split=split,
-                                     stats=window_stats))
+        entries.append(ManifestEntry(path=name, label=label, subject=subject, split=split))
     return Manifest(config_hash=cfg_hash, seed=seed, class_map=class_map, scheme=scheme,
-                    entries=entries)
+                    fs=fs, entries=entries)
 
 
 def read_window_stack(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ the public pair functions and `diversity`.
 
 from __future__ import annotations
 
-import json
 import warnings
 import weakref
 from dataclasses import dataclass, field, replace
@@ -287,11 +286,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return {"meta": self.meta, "metrics": self.metrics}
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def compute_report(

@@ -92,7 +92,16 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     hyperparameters go into its meta under ``"optimizers"``, as each shadow's
     update count goes under ``"ema_updates"``. ``best`` holds the best state,
     or the state before any step.
+
+    ValueError, before anything is drawn or written, unless ``cfg.batch_size``,
+    ``cfg.smooth_window`` and ``cfg.early_stop_patience`` (when set) are at
+    least 1 and ``cfg.epochs`` at least 0.
     """
+    for key, least in (("batch_size", 1), ("epochs", 0), ("smooth_window", 1),
+                       ("early_stop_patience", 1)):
+        value = getattr(cfg, key)
+        if value is not None and value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
     ema = ema or {}
     best = np.inf
     epochs_since_best = 0

@@ -54,6 +54,15 @@ class ClassMap:
     def as_pairs(self) -> list[list]:
         return [[n, i] for i, n in enumerate(self.names)]
 
+    @classmethod
+    def from_pairs(cls, pairs) -> "ClassMap":
+        """Inverse of :meth:`as_pairs`: (name, index) pairs in any order,
+        whose indices are exactly 0..K-1."""
+        pairs = sorted(pairs, key=lambda p: p[1])
+        if [i for _, i in pairs] != list(range(len(pairs))):
+            raise ValueError("class map indices must be exactly 0..K-1")
+        return cls(tuple(n for n, _ in pairs))
+
 
 @dataclass(frozen=True)
 class Annotation:

@@ -1,11 +1,12 @@
 """Command line and strict config: a tiny curate -> train -> sample -> evaluate
 run, the all-defaults GAN pipeline, same-seed reproducibility of the training
-and sampling outputs, one read of the checkpoint per `sample`, chunked WGAN
-sampling that writes the bytes of one batch, the seed's precedence, and the
-config rejections, malformed inputs, refused samplings (bad arguments, a used
---out, an old checkpoint version or config key), refused evaluations and
-version-1 manifests that must exit with code 2, and the pinned bytes of
-curated windows."""
+and sampling outputs and of manifests curated into two directories, one read
+of the checkpoint per `sample`, chunked WGAN sampling that writes the bytes of
+one batch, the seed's precedence, and the config rejections, malformed inputs,
+training settings `fit` cannot use, refused samplings (bad arguments, a used
+--out, an old checkpoint version or config key), refused evaluations (another
+sampling rate among them) and version-1 manifests that must exit with code 2,
+and the pinned bytes of curated windows."""
 
 import builtins
 import hashlib
@@ -31,9 +32,9 @@ DDPM = {"widths": [8, 8, 8], "cond_dim": 8, "time_dim": 8, "batch_size": 4, "epo
 NORMALIZATION = {"gan": "minmax_window", "ddpm": "zscore_recording"}
 
 
-def write_config(path, output_dir, normalization, gan=None, ddpm=None):
+def write_config(path, output_dir, normalization, gan=None, ddpm=None, data=None):
     doc = {"seed": 3, "output_dir": str(output_dir),
-           "data": {"normalization": normalization},
+           "data": {"normalization": normalization, **(data or {})},
            "model": {"gan": dict(GAN, **(gan or {})), "ddpm": dict(DDPM, **(ddpm or {}))}}
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -248,6 +249,56 @@ def test_evaluate_refuses_a_repeated_fake_name(curated, sampled, tmp_path, capsy
     assert not (tmp_path / "report.json").exists()
 
 
+def test_evaluate_refuses_another_sampling_rate(curated, sampled, tmp_path, capsys):
+    """The manifest records the rate its windows were cut at; `evaluate`
+    computes its spectra at that rate and refuses a config at another."""
+    _, manifest = curated["gan"]
+    assert json.loads(manifest.read_text())["fs"] == 250.0
+    config = write_config(tmp_path / "c.yaml", tmp_path, NORMALIZATION["gan"],
+                          data={"sample_rate": 500.0})
+    out = tmp_path / "out"
+    assert run("evaluate", "--config", config, "--real", manifest,
+               "--fake", f"wgan={sampled['wgan']}", "--out", out / "report.json") == 2
+    assert "cut at 250 Hz, but data.sample_rate is 500 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_curates_into_two_directories_write_identical_manifests(tmp_path):
+    """The config hash leaves out `output_dir`, so same-seed curates into two
+    directories write the same bytes."""
+    for name in ("a", "b"):
+        config = write_config(tmp_path / f"{name}.yaml", tmp_path / name, NORMALIZATION["gan"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # two subjects leave val and test empty
+            assert run("curate", "--config", config, "--synthetic", "--n-per-class", 1) == 0
+    for name in ("manifest.json", "split.csv", "class_map.csv"):
+        assert (tmp_path / "a" / "dataset" / name).read_bytes() == \
+            (tmp_path / "b" / "dataset" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("model", ["gan", "ddpm"])
+@pytest.mark.parametrize("setting, message", [
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ({"smooth_window": 0}, "smooth_window must be >= 1, got 0"),
+    ({"smooth_window": -3}, "smooth_window must be >= 1, got -3"),
+    ({"early_stop_patience": 0}, "early_stop_patience must be >= 1, got 0"),
+], ids=["batch_size_0", "epochs_negative", "smooth_window_0", "smooth_window_negative",
+        "patience_0"])
+def test_train_refuses_settings_fit_cannot_use(curated, tmp_path, capsys, model, setting,
+                                               message):
+    """`fit` refuses a setting it cannot use, for either trainer, before it
+    writes anything."""
+    _, manifest = curated[model]
+    config = write_config(tmp_path / "c.yaml", tmp_path, NORMALIZATION[model],
+                          gan=setting, ddpm=setting)
+    out = tmp_path / "out"
+    assert run("train", "--config", config, "--model", model, "--manifest", manifest,
+               "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_version_1_manifest_is_refused(curated, sampled, tmp_path, capsys, command):
     """A version-1 manifest (the normalization repeated in every entry) is
@@ -257,7 +308,7 @@ def test_version_1_manifest_is_refused(curated, sampled, tmp_path, capsys, comma
     norm = doc.pop("normalization")
     doc["version"] = 1
     for e in doc["entries"]:
-        e.update(L=250, norm=dict(norm, stats=e.pop("stats"), degenerate=False))
+        e.update(L=250, norm=dict(norm, degenerate=False))
     v1 = tmp_path / "v1"
     v1.mkdir()
     for path in manifest.parent.glob("*.agw"):

@@ -1,5 +1,5 @@
 """AGW1 window files, manifest round-trips and version refusal, split
-validation, CSV formats."""
+validation, CSV formats, and JSON and CSV writes that a failure leaves whole."""
 
 import json
 import struct
@@ -17,6 +17,7 @@ from artifactgen.manifest import (
     read_window_file,
     validate_split,
     write_class_map_csv,
+    write_json,
     write_split_csv,
     write_window_file,
     write_windows,
@@ -60,16 +61,15 @@ class TestWindowFile:
 
 def build_manifest(tmp_path, splits=("train", "val", "test")):
     """Three min-max windows per subject s0, s1, ...; returns the manifest and
-    the (N, C, L) windows, labels and per-window m and M it was written from."""
+    the (N, C, L) windows and labels it was written from."""
     rng = np.random.default_rng(1)
-    data, m, big = minmax_normalize(rng.uniform(-30, 30, size=(3 * len(splits), 4, 50)))
+    data = minmax_normalize(rng.uniform(-30, 30, size=(3 * len(splits), 4, 50)))
     labels = np.arange(len(data)) % 3 % 2
     subjects = [f"s{i // 3}" for i in range(len(data))]
-    stats = [{"m": a, "M": b} for a, b in zip(m.tolist(), big.tolist())]
     split_of = {f"s{i}": s for i, s in enumerate(splits)}
-    man = write_windows(data, labels, subjects, stats, tmp_path, split_of,
-                        config_hash({"x": 1}), 7, ClassMap(), MINMAX_WINDOW)
-    return man, (data, labels, m, big)
+    man = write_windows(data, labels, subjects, tmp_path, split_of,
+                        config_hash({"x": 1}), 7, ClassMap(), MINMAX_WINDOW, 250.0)
+    return man, (data, labels)
 
 
 class TestManifest:
@@ -80,7 +80,7 @@ class TestManifest:
         assert loaded.to_dict() == man.to_dict()
 
     def test_window_data_round_trip(self, tmp_path):
-        man, (want, want_labels, _, _) = build_manifest(tmp_path)
+        man, (want, want_labels) = build_manifest(tmp_path)
         data, labels, subjects = load_window_set(man, tmp_path)
         assert data.shape == (9, 4, 50)
         assert np.allclose(data, want, atol=1e-6)
@@ -100,24 +100,27 @@ class TestManifest:
         data, labels, subjects = load_window_set(man, tmp_path, split="train")
         assert set(subjects) == {"s0"} and len(labels) == 3
 
-    def test_norm_stats_in_entries(self, tmp_path):
-        man, (_, _, m, big) = build_manifest(tmp_path)
+    def test_normalization_and_rate_recorded_once(self, tmp_path):
+        """Version 3 names the scheme, eps and fs once; an entry holds no
+        per-window statistics."""
+        man, _ = build_manifest(tmp_path)
         man.save(tmp_path / "manifest.json")
         doc = json.loads((tmp_path / "manifest.json").read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3 and doc["fs"] == 250.0
         assert doc["normalization"] == {"scheme": "minmax_window", "eps": EPS}
-        for e, entry, lo, hi in zip(man.entries, doc["entries"], m, big):
-            assert set(entry) == {"path", "label", "subject", "split", "stats"}
-            assert e.stats == entry["stats"] == {"m": lo, "M": hi}
-            assert hi >= lo
+        for e, entry in zip(man.entries, doc["entries"]):
+            assert entry == {"path": e.path, "label": e.label, "subject": e.subject,
+                             "split": e.split}
 
     @pytest.mark.parametrize("edit, match", [
         (lambda d: d.update(version=1), "unsupported manifest version 1"),
+        (lambda d: d.update(version=2), "version 2; curate the dataset again"),
         (lambda d: d.pop("version"), "unsupported manifest version None"),
         (lambda d: d["normalization"].update(scheme="none"), "unknown normalization"),
         (lambda d: d["normalization"].update(eps=1e-6), "unknown normalization"),
         (lambda d: d.pop("normalization"), "unknown normalization"),
-    ], ids=["version_1", "no_version", "scheme_none", "other_eps", "no_normalization"])
+    ], ids=["version_1", "version_2", "no_version", "scheme_none", "other_eps",
+            "no_normalization"])
     def test_load_refuses_other_versions_and_schemes(self, tmp_path, edit, match):
         man, _ = build_manifest(tmp_path)
         doc = man.to_dict()
@@ -180,6 +183,34 @@ class TestCsv:
         path.write_text("label_name,index\na,0\nb,2\n")
         with pytest.raises(ValueError, match="0..K-1"):
             read_class_map_csv(path)
+
+
+class Unwritable:
+    def __str__(self):
+        raise OSError("disk full")
+
+
+class TestWholeWrites:
+    """A write that fails part way leaves the previous file and no temporary
+    file, as `tests/test_checkpoint.py` checks for checkpoints."""
+
+    def test_failed_write_json_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "run.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(path, {"a": 2, "b": [3, object()]})
+        assert path.read_bytes() == before == b'{\n  "a": 1\n}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_failed_split_csv_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "split.csv"
+        write_split_csv(path, {"s0": "train"})
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            write_split_csv(path, {"s0": "val", "s1": Unwritable()})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["split.csv"]
 
 
 class TestConfigHash:

@@ -1,4 +1,5 @@
-"""Windowing formulas vs brute-force enumeration, extraction and padding rules."""
+"""Windowing formulas vs brute-force enumeration, extraction and padding
+rules, and the class map's pairs."""
 
 import numpy as np
 import pytest
@@ -129,3 +130,12 @@ class TestExtraction:
     def test_annotation_bounds_validated(self):
         with pytest.raises(ValueError):
             make_recording(t=100, annotations=[Annotation(50, 200, "eye")])
+
+
+class TestClassMap:
+    def test_from_pairs_inverts_as_pairs_and_refuses_other_indices(self):
+        cm = ClassMap(("b", "a", "c"))
+        assert ClassMap.from_pairs(cm.as_pairs()) == cm
+        assert ClassMap.from_pairs(reversed(cm.as_pairs())) == cm
+        with pytest.raises(ValueError, match="0..K-1"):
+            ClassMap.from_pairs([["a", 0], ["b", 0]])
