@@ -254,12 +254,12 @@ def cmd_evaluate(args) -> tuple[Path, str, str, int]:
         normalization=manifest.scheme,
         seeds={"seed": cfg.seed, "manifest_seed": manifest.seed},
     )
-    out_path = Path(args.out) if args.out else Path(cfg.output_dir) / "report.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out_path, report.to_dict())
+    out_dir = Path(args.out or cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "report.json", report.to_dict())
     print(render_table(report))
-    print(f"\nreport -> {out_path}")
-    return out_path.parent, "evaluate", cfg.hash(), cfg.seed
+    print(f"\nreport -> {out_dir / 'report.json'}")
+    return out_dir, "evaluate", cfg.hash(), cfg.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--split", default="all", choices=("all", "train", "val", "test"))
     e.add_argument("--fake", action="append", metavar="NAME=DIR",
                    help="synthetic window dir; NAME is ddpm or wgan (repeatable)")
-    e.add_argument("--out", help="report path (default <output_dir>/report.json)")
+    e.add_argument("--out", help="override config output_dir (report.json goes there)")
     e.set_defaults(func=cmd_evaluate)
     return p
 

@@ -101,7 +101,6 @@ class DiffusionTrainConfig:
     epochs: int = 10
     seed: int = 0
     ema_decay: float = 0.999
-    smooth_window: int = 50
     early_stop_patience: int | None = None
     schedule_steps: int = 1000
     beta_start: float = 1e-4
@@ -315,7 +314,6 @@ class DiffusionTrainResult:
     ema: EmaShadow
     history: list[dict] = field(default_factory=list)
     best_step: int = 0
-    best_state: dict | None = None
     stopped_early: bool = False
 
 
@@ -334,7 +332,7 @@ def train_ddpm(
     float64 masters. ``result.net``, the optimizer moments, the EMA and both
     checkpoints stay float64.
 
-    Early stopping and checkpoint selection monitor the smoothed training
+    Early stopping and the best checkpoint follow each epoch's mean training
     denoise loss; sampling for evaluation should use the EMA weights.
     """
     data = np.asarray(data, dtype=np.float64)

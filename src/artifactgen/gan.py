@@ -66,8 +66,7 @@ class GanTrainConfig:
     beta2: float = 0.9
     epochs: int = 10
     seed: int = 0
-    smooth_window: int = 50
-    early_stop_patience: int | None = None  # epochs without smoothed-loss improvement
+    early_stop_patience: int | None = None  # epochs without a new best epoch score
 
     def __post_init__(self):
         if self.lambda_gp <= 0:
@@ -182,7 +181,6 @@ class GanTrainResult:
     critic: ProjectionCritic
     history: list[dict] = field(default_factory=list)
     best_step: int = 0
-    best_state: dict | None = None
     stopped_early: bool = False
 
 
@@ -197,14 +195,14 @@ def train_wgan(
 
     Per generator step the critic takes ``n_critic`` updates with loss
     E[D(fake)] - E[D(real)] + GP; the generator then minimizes -E[D(fake)].
-    Losses are logged per step; the best state, both nets, is the one at the
-    lowest smoothed absolute generator loss. The batch is ``min(batch_size, n // n_critic)``, so any
-    ``n >= n_critic`` fills a step.
+    Losses are logged per step; the best checkpoint holds both nets at the end
+    of the epoch with the lowest mean absolute generator loss. The batch is
+    ``min(batch_size, n // n_critic)``, so any ``n >= n_critic`` fills a step.
 
     Every forward and backward pass runs in `training.TRAIN_DTYPE` on a
     `training.Twin` of each net; each Adam step runs on the float64 masters.
-    ``result.generator``, ``result.critic``, both optimizer states,
-    ``best_state`` and both checkpoints stay float64.
+    ``result.generator``, ``result.critic``, both optimizer states and both
+    checkpoints stay float64.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -5,10 +5,11 @@ then C*L float32 values channel-major, one file per window. The manifest
 (version 3) is a JSON document with the run's config hash and seed, the class
 map, the sampling rate ``fs`` the windows were cut at, one top-level
 ``"normalization": {"scheme", "eps"}`` for the whole set, and one entry per
-window: its ``path``, ``label``, ``subject`` and ``split``. Other versions are
-refused. `write_json` writes the manifest and every other JSON record whole
-(through `nn.checkpoint.atomic_open`), as the CSV writers write theirs, so a
-failed write leaves the previous file.
+window: its ``path``, ``label``, ``subject`` and ``split``. `Manifest.load`
+refuses other versions, a missing key and a subject in two splits.
+`write_json` writes the manifest and every other JSON record whole (through
+`nn.checkpoint.atomic_open`), as the CSV writers write theirs, so a failed
+write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -133,19 +134,37 @@ class Manifest:
         if norm.get("scheme") not in SCHEMES or norm.get("eps") != EPS:
             raise ValueError(f"{path}: unknown normalization {norm}; expected a scheme "
                              f"in {SCHEMES} with eps {EPS}")
-        return cls(
-            config_hash=d["config_hash"],
-            seed=int(d["seed"]),
-            class_map=ClassMap.from_pairs(d["class_map"]),
-            scheme=norm["scheme"],
-            fs=float(d["fs"]),
-            entries=[ManifestEntry(e["path"], int(e["label"]), e["subject"], e["split"])
-                     for e in d["entries"]],
-        )
+        try:
+            manifest = cls(
+                config_hash=d["config_hash"],
+                seed=int(d["seed"]),
+                class_map=ClassMap.from_pairs(d["class_map"]),
+                scheme=norm["scheme"],
+                fs=float(d["fs"]),
+                entries=[ManifestEntry(e["path"], int(e["label"]), e["subject"], e["split"])
+                         for e in d["entries"]],
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: no {exc} key") from None
+        _check_splits(manifest.entries, path)
+        return manifest
 
 
 class SplitViolation(ValueError):
     """A subject appears in more than one split."""
+
+
+def _check_splits(entries: list[ManifestEntry], source: str | Path) -> None:
+    """ValueError, naming ``source``, on an entry of an unknown split, and
+    :class:`SplitViolation` on the first subject found in two splits."""
+    subject_splits: dict[str, str] = {}
+    for e in entries:
+        if e.split not in SPLITS:
+            raise ValueError(f"{source}: entry {e.path}: unknown split '{e.split}'")
+        prev = subject_splits.setdefault(e.subject, e.split)
+        if prev != e.split:
+            raise SplitViolation(f"{source}: subject '{e.subject}' appears in both "
+                                 f"'{prev}' and '{e.split}' splits")
 
 
 def validate_split(manifest: Manifest) -> dict:
@@ -154,17 +173,7 @@ def validate_split(manifest: Manifest) -> dict:
     Raises :class:`SplitViolation` naming the first offending subject. An empty
     split only warns (desk-scale corpora may lack one).
     """
-    subject_splits: dict[str, str] = {}
-    for e in manifest.entries:
-        if e.split not in SPLITS:
-            raise ValueError(f"entry {e.path}: unknown split '{e.split}'")
-        prev = subject_splits.get(e.subject)
-        if prev is None:
-            subject_splits[e.subject] = e.split
-        elif prev != e.split:
-            raise SplitViolation(
-                f"subject '{e.subject}' appears in both '{prev}' and '{e.split}' splits")
-
+    _check_splits(manifest.entries, "manifest")
     k = len(manifest.class_map)
     report = {s: {"subjects": set(), "windows": 0, "per_class": [0] * k} for s in SPLITS}
     for e in manifest.entries:

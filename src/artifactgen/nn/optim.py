@@ -88,9 +88,6 @@ class EmaShadow:
         for k, p in params.items():
             self.shadow[k] = d * self.shadow[k] + (1.0 - d) * p.data
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.shadow.items()}
-
     def load(self, state: dict[str, np.ndarray], updates: int) -> None:
         """Restore a shadow and its count, which ``last`` records in ``ema_updates``."""
         self.updates = int(updates)

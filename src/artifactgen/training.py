@@ -1,5 +1,5 @@
 """What both models share: `fit`, the training loop (a seeded permutation per
-epoch, the divergence check, best tracking on the smoothed monitored loss,
+epoch, the divergence check, the best epoch by mean absolute monitored loss,
 early stopping, and what the loss CSV and the last and best checkpoints
 hold); `Twin`, the `TRAIN_DTYPE` copy each net computes on while its float64
 master weights take the optimizer steps; and `read_checkpoint`, which both
@@ -72,7 +72,7 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
         ema: dict[str, EmaShadow] | None = None, meta: dict, out_dir: str | Path | None,
         batches_per_step: int = 1) -> None:
     """Train for ``cfg.epochs`` epochs, filling ``result.history``,
-    ``result.best_step``, ``result.best_state`` and ``result.stopped_early``.
+    ``result.best_step`` and ``result.stopped_early``.
 
     Each epoch cuts a permutation of ``n`` from ``rng`` into batches of
     ``min(cfg.batch_size, n // batches_per_step)``, so that ``n`` holds at least one
@@ -80,25 +80,26 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     are dropped. ``step`` returns the loss terms named in ``columns``.
 
     ``nets``, the ``optimizers`` and the ``ema`` shadows are the run's state,
-    each under a name (an optimizer or a shadow under its net's). Whenever the
-    mean absolute ``monitor`` over the last ``cfg.smooth_window`` steps reaches
-    a new low, ``result.best_state`` takes a copy of every net and shadow.
-    With ``out_dir`` the run writes, at the end of every epoch (and once when
-    ``cfg.epochs`` is 0), ``<model>_losses.csv``, ``<model>_last.ckpt`` and
-    ``<model>_best.ckpt``, so a crash in an epoch leaves the files of the one
-    before. Checkpoint arrays are named ``params/<net>/<parameter>`` and
-    ``ema/<net>/<parameter>``; ``last`` also holds ``m/<net>/<parameter>`` and
-    ``v/<net>/<parameter>``, the moments of each optimizer, whose ``t`` and
-    hyperparameters go into its meta under ``"optimizers"``, as each shadow's
-    update count goes under ``"ema_updates"``. ``best`` holds the best state,
-    or the state before any step.
+    each under a name (an optimizer or a shadow under its net's). An epoch's
+    score is the mean absolute ``monitor`` over its steps; an epoch scoring
+    below every earlier one is the best so far, and ``result.best_step`` is
+    its last step. ``cfg.early_stop_patience`` epochs in a row without a new
+    best stop the run. With ``out_dir`` the run writes, at the end of every epoch
+    (and once when ``cfg.epochs`` is 0), ``<model>_losses.csv``,
+    ``<model>_last.ckpt`` and, when the epoch is the best, ``<model>_best.ckpt``,
+    so a crash in an epoch leaves the files of the one before. Checkpoint
+    arrays are the live ``params/<net>/<parameter>`` and ``ema/<net>/<parameter>``;
+    ``last`` also holds ``m/<net>/<parameter>`` and ``v/<net>/<parameter>``,
+    the moments of each optimizer, whose ``t`` and hyperparameters go into its
+    meta under ``"optimizers"``, as each shadow's update count goes under
+    ``"ema_updates"``. A non-finite loss raises `TrainingDiverged` with the
+    rows since the best epoch, the steps ``best`` does not hold.
 
-    ValueError, before anything is drawn or written, unless ``cfg.batch_size``,
-    ``cfg.smooth_window`` and ``cfg.early_stop_patience`` (when set) are at
-    least 1 and ``cfg.epochs`` at least 0.
+    ValueError, before anything is drawn or written, unless ``cfg.batch_size``
+    and ``cfg.early_stop_patience`` (when set) are at least 1 and
+    ``cfg.epochs`` at least 0.
     """
-    for key, least in (("batch_size", 1), ("epochs", 0), ("smooth_window", 1),
-                       ("early_stop_patience", 1)):
+    for key, least in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 1)):
         value = getattr(cfg, key)
         if value is not None and value < least:
             raise ValueError(f"{key} must be >= {least}, got {value}")
@@ -107,7 +108,7 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
     epochs_since_best = 0
     bsz = min(cfg.batch_size, n // batches_per_step)
 
-    def write() -> None:
+    def write(improved: bool) -> None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         with atomic_open(path / f"{model}_losses.csv", "w", newline="") as f:
@@ -124,13 +125,14 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
         save_checkpoint(path / f"{model}_last.ckpt", last, step=len(result.history),
                         meta={**meta, "optimizers": scalars,
                               "ema_updates": {k: s.updates for k, s in ema.items()}})
-        save_checkpoint(path / f"{model}_best.ckpt", result.best_state or _weights(nets, ema),
-                        step=result.best_step, meta=meta)
+        if improved:
+            save_checkpoint(path / f"{model}_best.ckpt", _weights(nets, ema),
+                            step=result.best_step, meta=meta)
 
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         batches = [perm[i: i + bsz] for i in range(0, n - bsz + 1, bsz)]
-        improved_this_epoch = False
+        epoch_start = len(result.history)
         for first in range(0, len(batches) - batches_per_step + 1, batches_per_step):
             terms = step(batches[first: first + batches_per_step])
             row = {"step": len(result.history) + 1, **terms}
@@ -138,30 +140,23 @@ def fit(model: str, result, n: int, cfg, rng: np.random.Generator,
                 raise TrainingDiverged({
                     **row, "lr": cfg.lr,
                     "grad_norms": {k: opt.grad_norms() for k, opt in optimizers.items()},
-                    "history": result.history[-cfg.smooth_window:],
+                    "history": result.history[result.best_step:],
                 })
             result.history.append(row)
 
-            tail = [r[monitor] for r in result.history[-cfg.smooth_window:]]
-            smoothed = float(np.mean(np.abs(tail)))
-            if smoothed < best:
-                best = smoothed
-                result.best_step = row["step"]
-                result.best_state = {k: v.copy() for k, v in _weights(nets, ema).items()}
-                improved_this_epoch = True
-
+        score = float(np.mean([abs(r[monitor]) for r in result.history[epoch_start:]]))
+        improved = score < best
+        if improved:
+            best, result.best_step = score, len(result.history)
         if out_dir is not None:
-            write()
-        if improved_this_epoch:
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if cfg.early_stop_patience is not None and epochs_since_best >= cfg.early_stop_patience:
-                result.stopped_early = True
-                break
+            write(improved)
+        epochs_since_best = 0 if improved else epochs_since_best + 1
+        if cfg.early_stop_patience is not None and epochs_since_best >= cfg.early_stop_patience:
+            result.stopped_early = True
+            break
 
     if out_dir is not None and cfg.epochs < 1:
-        write()
+        write(True)
 
 
 def _weights(nets: dict[str, Module], ema: dict[str, EmaShadow]) -> dict[str, np.ndarray]:

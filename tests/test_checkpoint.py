@@ -1,7 +1,8 @@
 """Checkpoint container: round trip from a path and from the file's bytes, the
 refusal of other versions, atomic writes of checkpoints and of the training
-loss log, how often `fit` writes them, and loaders that build their nets
-uninitialised and take every array from the checkpoint."""
+loss log, how often `fit` writes them, the epoch `fit` keeps as best and its
+early stop, and loaders that build their nets uninitialised and take every
+array from the checkpoint."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import pytest
 
 import artifactgen.nn.checkpoint as checkpoint_mod
 from artifactgen import diffusion, gan, training
-from artifactgen.nn import Adam, EmaShadow, Linear, load_checkpoint, save_checkpoint
+from artifactgen.nn import Adam, EmaShadow, Linear, Tensor, load_checkpoint, save_checkpoint
 from artifactgen.training import fit
 
 RNG = np.random.default_rng(0)
@@ -81,11 +82,10 @@ class Unprintable(float):
 def test_failed_loss_log_keeps_previous_log(tmp_path):
     """`fit` writes the loss CSV atomically: a write that fails after the header
     leaves the previous run's log in place and no temporary file."""
-    cfg = SimpleNamespace(epochs=1, batch_size=2, smooth_window=1, early_stop_patience=None,
-                          lr=1e-3)
+    cfg = SimpleNamespace(epochs=1, batch_size=2, early_stop_patience=None, lr=1e-3)
 
     def run(loss):
-        result = SimpleNamespace(history=[], best_step=0, best_state=None, stopped_early=False)
+        result = SimpleNamespace(history=[], best_step=0, stopped_early=False)
         fit("toy", result, 4, cfg, np.random.default_rng(0), lambda batches: {"loss": loss},
             columns=("loss",), monitor="loss", nets={}, optimizers={}, meta={},
             out_dir=tmp_path)
@@ -126,9 +126,8 @@ def test_each_epoch_end_writes_each_file_once(tmp_path, monkeypatch, epochs):
         ema.update(params)
         return {"loss": float(next(losses))}
 
-    cfg = SimpleNamespace(epochs=epochs, batch_size=2, smooth_window=1,
-                          early_stop_patience=None, lr=0.1)
-    result = SimpleNamespace(history=[], best_step=0, best_state=None, stopped_early=False)
+    cfg = SimpleNamespace(epochs=epochs, batch_size=2, early_stop_patience=None, lr=0.1)
+    result = SimpleNamespace(history=[], best_step=0, stopped_early=False)
     fit("toy", result, 4, cfg, np.random.default_rng(0), step, columns=("loss",),
         monitor="loss", nets={"net": net}, optimizers={"net": opt}, ema={"net": ema},
         meta={"model": "toy"}, out_dir=tmp_path)
@@ -147,6 +146,51 @@ def test_each_epoch_end_writes_each_file_once(tmp_path, monkeypatch, epochs):
     assert sorted(best.arrays) == [f"{s}/net/{k}" for s in ("ema", "params")
                                    for k in ("bias", "weight")]
     assert all(np.array_equal(v, last.arrays[k]) for k, v in best.arrays.items())
+
+
+def test_best_is_the_epoch_of_lowest_mean_absolute_loss_and_patience_stops_the_run(
+        tmp_path, monkeypatch):
+    """Epoch scores 3, 1, 2, 2 (two steps each) with patience 2: the run stops
+    after epoch 4, ``best`` holds the live weights at the end of epoch 2 and is
+    written at the ends of epochs 1 and 2 only."""
+    written = []
+
+    def counting(path, *args, **kwargs):
+        written.append(Path(path).name)
+        return save_checkpoint(path, *args, **kwargs)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting)
+    net = Linear(2, 3, np.random.default_rng(0))
+    params = net.named_parameters()
+    opt, ema = Adam(params, lr=0.1), EmaShadow(params, 0.5)
+    losses = iter([-4.0, 2.0, 1.5, -0.5, 2.0, 2.0, -1.0, 3.0, 0.0, 0.0])
+    at_step = {}
+
+    def step(batches):
+        for p in params.values():
+            p.grad = Tensor(np.ones_like(p.data))
+        opt.step()
+        ema.update(params)
+        at_step[len(at_step) + 1] = {
+            **{f"params/net/{k}": p.data.copy() for k, p in params.items()},
+            **{f"ema/net/{k}": v.copy() for k, v in ema.shadow.items()}}
+        return {"loss": next(losses)}
+
+    cfg = SimpleNamespace(epochs=5, batch_size=2, early_stop_patience=2, lr=0.1)
+    result = SimpleNamespace(history=[], best_step=0, stopped_early=False)
+    fit("toy", result, 4, cfg, np.random.default_rng(0), step, columns=("loss",),
+        monitor="loss", nets={"net": net}, optimizers={"net": opt}, ema={"net": ema},
+        meta={"model": "toy"}, out_dir=tmp_path)
+    assert result.stopped_early and len(result.history) == 8
+    assert written == ["toy_last.ckpt", "toy_best.ckpt"] * 2 + ["toy_last.ckpt"] * 2
+    best = load_checkpoint(tmp_path / "toy_best.ckpt")
+    assert best.step == result.best_step == 4
+    assert best.arrays.keys() == at_step[4].keys()
+    assert all(np.array_equal(v, at_step[4][k]) for k, v in best.arrays.items())
+    last = load_checkpoint(tmp_path / "toy_last.ckpt")
+    assert last.step == 8
+    assert np.array_equal(last.arrays["params/net/weight"], at_step[8]["params/net/weight"])
+    assert not np.array_equal(last.arrays["params/net/weight"], best.arrays["params/net/weight"])
 
 
 @pytest.mark.parametrize("model", ["wgan", "ddpm"])

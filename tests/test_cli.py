@@ -5,8 +5,10 @@ of the checkpoint per `sample`, chunked WGAN sampling that writes the bytes of
 one batch, the seed's precedence, and the config rejections, malformed inputs,
 training settings `fit` cannot use, refused samplings (bad arguments, a used
 --out, an old checkpoint version or config key), refused evaluations (another
-sampling rate among them) and version-1 manifests that must exit with code 2,
-and the pinned bytes of curated windows."""
+sampling rate among them), version-1 manifests and manifests that lack a key
+or put a subject in two splits, all of which must exit with code 2; the pinned
+bytes of curated windows; and `evaluate --out`, a directory that keeps its own
+run record."""
 
 import builtins
 import hashlib
@@ -75,10 +77,10 @@ def test_end_to_end(curated, tmp_path):
         config, manifest = curated[model]
         assert run("evaluate", "--config", config, "--real", manifest,
                    "--fake", f"{name}={tmp_path / name}",
-                   "--out", tmp_path / f"report_{name}.json") == 0
-        assert (tmp_path / f"report_{name}.json").is_file()
+                   "--out", tmp_path / f"eval_{name}") == 0
+        assert (tmp_path / f"eval_{name}" / "report.json").is_file()
     for record in [tmp_path / m / "run.json" for m in fakes] + \
-            [tmp_path / n / "run.json" for n in ("wgan", "ddpm")]:
+            [tmp_path / d / "run.json" for n in ("wgan", "ddpm") for d in (n, f"eval_{n}")]:
         fields = json.loads(record.read_text())
         assert fields["elapsed_s"] >= 0 and fields["peak_rss_mb"] > 0, record
 
@@ -194,9 +196,9 @@ def test_evaluate_refuses_windows_its_provenance_does_not_describe(curated, samp
         write_window_file(mixed / "w000000.agw", data, 3)
     config, manifest = curated["gan"]
     assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"wgan={mixed}",
-               "--out", tmp_path / "report.json") == 2
+               "--out", tmp_path / "eval") == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("real, fake, message", [
@@ -215,9 +217,9 @@ def test_evaluate_refuses_what_it_cannot_compare(curated, sampled, tmp_path, cap
     fake_dir = bare if source == "bare" else sampled[source]
     config, manifest = curated[real]
     assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"{name}={fake_dir}",
-               "--out", tmp_path / "report.json") == 2
+               "--out", tmp_path / "eval") == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("damage", ["all_windows", "one_window"])
@@ -231,10 +233,10 @@ def test_evaluate_refuses_windows_of_another_shape(curated, sampled, tmp_path, c
         write_window_file(path, data[:, :100], label)
     config, manifest = curated["gan"]
     assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"wgan={short}",
-               "--out", tmp_path / "report.json") == 2
+               "--out", tmp_path / "eval") == 2
     message = "window shapes differ" if damage == "all_windows" else "non-uniform"
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_refuses_a_repeated_fake_name(curated, sampled, tmp_path, capsys):
@@ -244,9 +246,9 @@ def test_evaluate_refuses_a_repeated_fake_name(curated, sampled, tmp_path, capsy
     for real in (manifest, tmp_path / "missing" / "manifest.json"):
         assert run("evaluate", "--config", config, "--real", real,
                    "--fake", f"wgan={sampled['wgan']}", "--fake", f"wgan={tmp_path / 'absent'}",
-                   "--out", tmp_path / "report.json") == 2
+                   "--out", tmp_path / "eval") == 2
         assert "--fake wgan is given twice" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_refuses_another_sampling_rate(curated, sampled, tmp_path, capsys):
@@ -258,7 +260,7 @@ def test_evaluate_refuses_another_sampling_rate(curated, sampled, tmp_path, caps
                           data={"sample_rate": 500.0})
     out = tmp_path / "out"
     assert run("evaluate", "--config", config, "--real", manifest,
-               "--fake", f"wgan={sampled['wgan']}", "--out", out / "report.json") == 2
+               "--fake", f"wgan={sampled['wgan']}", "--out", out) == 2
     assert "cut at 250 Hz, but data.sample_rate is 500 Hz" in capsys.readouterr().err
     assert not out.exists()
 
@@ -280,11 +282,8 @@ def test_curates_into_two_directories_write_identical_manifests(tmp_path):
 @pytest.mark.parametrize("setting, message", [
     ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
     ({"epochs": -1}, "epochs must be >= 0, got -1"),
-    ({"smooth_window": 0}, "smooth_window must be >= 1, got 0"),
-    ({"smooth_window": -3}, "smooth_window must be >= 1, got -3"),
     ({"early_stop_patience": 0}, "early_stop_patience must be >= 1, got 0"),
-], ids=["batch_size_0", "epochs_negative", "smooth_window_0", "smooth_window_negative",
-        "patience_0"])
+], ids=["batch_size_0", "epochs_negative", "patience_0"])
 def test_train_refuses_settings_fit_cannot_use(curated, tmp_path, capsys, model, setting,
                                                message):
     """`fit` refuses a setting it cannot use, for either trainer, before it
@@ -299,31 +298,81 @@ def test_train_refuses_settings_fit_cannot_use(curated, tmp_path, capsys, model,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_version_1_manifest_is_refused(curated, sampled, tmp_path, capsys, command):
-    """A version-1 manifest (the normalization repeated in every entry) is
-    refused by its version, before anything is written."""
+def run_on_edited_manifest(command, curated, sampled, tmp_path, edit) -> tuple[int, Path]:
+    """`train` or `evaluate` of the WGAN on a copy of its curated dataset
+    whose manifest ``edit`` changed in place; the exit code and the copy's
+    manifest path. Outputs go to ``tmp_path / "out"``."""
     config, manifest = curated["gan"]
     doc = json.loads(manifest.read_text())
+    edit(doc)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for path in manifest.parent.glob("*.agw"):
+        (copy / path.name).write_bytes(path.read_bytes())
+    (copy / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ("train", "--config", config, "--model", "gan", "--out", out,
+                "--manifest", copy / "manifest.json")
+    else:
+        argv = ("evaluate", "--config", config, "--real", copy / "manifest.json",
+                "--fake", f"wgan={sampled['wgan']}", "--out", out)
+    return run(*argv), copy / "manifest.json"
+
+
+def to_version_1(doc):
     norm = doc.pop("normalization")
     doc["version"] = 1
     for e in doc["entries"]:
         e.update(L=250, norm=dict(norm, degenerate=False))
-    v1 = tmp_path / "v1"
-    v1.mkdir()
-    for path in manifest.parent.glob("*.agw"):
-        (v1 / path.name).write_bytes(path.read_bytes())
-    (v1 / "manifest.json").write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    if command == "train":
-        argv = ("train", "--config", config, "--model", "gan", "--out", out,
-                "--manifest", v1 / "manifest.json")
-    else:
-        argv = ("evaluate", "--config", config, "--real", v1 / "manifest.json",
-                "--fake", f"wgan={sampled['wgan']}", "--out", out / "report.json")
-    assert run(*argv) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_version_1_manifest_is_refused(curated, sampled, tmp_path, capsys, command):
+    """A version-1 manifest (the normalization repeated in every entry) is
+    refused by its version, before anything is written."""
+    code, _ = run_on_edited_manifest(command, curated, sampled, tmp_path, to_version_1)
+    assert code == 2
     assert "unsupported manifest version 1" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+def move_two_windows_to_test(doc):
+    for e in doc["entries"][:2]:
+        e["split"] = "test"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("fs"), "no 'fs' key"),
+    (lambda d: d["entries"][3].pop("subject"), "no 'subject' key"),
+    (move_two_windows_to_test, "appears in both 'test' and 'train' splits"),
+], ids=["no_fs", "entry_without_subject", "subject_in_two_splits"])
+def test_manifest_it_cannot_read_is_refused(curated, sampled, tmp_path, capsys, command, edit,
+                                            message):
+    """A manifest of the current version that lacks a key, or whose subject
+    sits in two splits, exits 2 naming the file, before anything is written."""
+    code, edited = run_on_edited_manifest(command, curated, sampled, tmp_path, edit)
+    assert code == 2
+    assert f"{edited}: " in (err := capsys.readouterr().err) and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_two_evaluates_into_two_directories_keep_their_own_records(curated, sampled, tmp_path,
+                                                                   monkeypatch):
+    """`evaluate --out DIR` writes DIR/report.json with its run.json beside it."""
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    for model, name in (("gan", "wgan"), ("ddpm", "ddpm")):
+        config, manifest = curated[model]
+        assert run("evaluate", "--config", config, "--real", manifest,
+                   "--fake", f"{name}={sampled[name]}", "--out", tmp_path / name) == 0
+    for model, name in (("gan", "wgan"), ("ddpm", "ddpm")):
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["report.json", "run.json"]
+        record = json.loads((tmp_path / name / "run.json").read_text())
+        assert record["command"] == "evaluate"
+        assert record["config_hash"] == load_config(curated[model][0]).hash()
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["meta"]["normalization"] == NORMALIZATION[model]
 
 
 # sha256 of the .agw files, concatenated in name order, that the `curated`
@@ -397,7 +446,7 @@ def test_evaluate_records_the_hash_of_the_seeded_config(curated, sampled, tmp_pa
     want = load_config(seeded).hash()
     monkeypatch.setenv(cli.SEED_ENV, "7")
     assert run("evaluate", "--config", config, "--real", manifest,
-               "--fake", f"wgan={sampled['wgan']}", "--out", tmp_path / "report.json") == 0
+               "--fake", f"wgan={sampled['wgan']}", "--out", tmp_path) == 0
     record = json.loads((tmp_path / "run.json").read_text())
     assert record["seed"] == 7 and record["config_hash"] == want
 

@@ -392,21 +392,21 @@ class TestTrainDdpm:
         data, labels = self.toy_data()
         result = train_ddpm(data, labels, 2, self.small_cfg(epochs=2))
         live = {k: p.data for k, p in result.net.named_parameters().items()}
-        shadow = result.ema.state()
+        shadow = result.ema.shadow
         diffs = [np.max(np.abs(live[k] - shadow[k])) for k in live]
         assert max(diffs) > 0
 
     def test_checkpoints_and_reload(self, tmp_path):
         from artifactgen.diffusion import load_unet
         data, labels = self.toy_data()
-        cfg = self.small_cfg(epochs=2)
+        cfg = self.small_cfg(epochs=1)          # one epoch, the best
         result = train_ddpm(data, labels, 2, cfg, out_dir=tmp_path)
         assert (tmp_path / "ddpm_losses.csv").exists()
         net, sched, meta = load_unet(tmp_path / "ddpm_best.ckpt")
         assert sched.num_steps == cfg.schedule_steps
         assert net.sample_length == 8
         for k, p in net.named_parameters().items():
-            assert np.array_equal(p.data, result.best_state[f"ema/net/{k}"])
+            assert np.array_equal(p.data, result.ema.shadow[k])
 
     def test_nan_aborts_with_snapshot(self, monkeypatch):
         # the third loss goes NaN in value only, so its gradients stay finite
@@ -441,8 +441,10 @@ class TestTrainDdpm:
             return loss + Tensor(np.nan) if len(calls) == 6 else loss
 
         monkeypatch.setattr(diffusion_mod, "denoise_loss", nan_sixth_loss)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as err:
             train_ddpm(data, labels, 2, self.small_cfg(epochs=2), out_dir=tmp_path / "two")
+        # the snapshot holds the rows since the best epoch's end
+        assert [row["step"] for row in err.value.snapshot["history"]] == [5]
         one, two = tmp_path / "one", tmp_path / "two"
         assert sorted(p.name for p in two.iterdir()) == [
             "ddpm_best.ckpt", "ddpm_last.ckpt", "ddpm_losses.csv"]
@@ -481,7 +483,7 @@ class TestTrainDdpm:
                 fixed = np.random.default_rng(999)
                 live_curve.append(denoise_loss(net, data[:8], labels[:8], sched,
                                                0.0, fixed).item())
-                ema_net.load_state(ema.state())
+                ema_net.load_state(ema.shadow)
                 fixed = np.random.default_rng(999)
                 ema_curve.append(denoise_loss(ema_net, data[:8], labels[:8], sched,
                                               0.0, fixed).item())

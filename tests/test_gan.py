@@ -233,26 +233,28 @@ class TestTrainLoop:
         from artifactgen.gan import load_generator
         data, labels = toy_windows(16)
         cfg = small_cfg()
-        result = train_wgan(data, labels, K, cfg, out_dir=tmp_path)
+        result = train_wgan(data, labels, K, cfg, out_dir=tmp_path)   # one epoch, the best
         gen, meta = load_generator(tmp_path / "gan_best.ckpt")
         z = np.random.default_rng(0).standard_normal((2, cfg.latent_dim))
         y = np.array([0, 1])
         with no_grad():
             ours = gen(z, y).data
-        best = GeneratorNet(C, L, K, cfg, np.random.default_rng(0))
-        best.load_state(section(result.best_state, "params/generator/"))
-        with no_grad():
-            expected = best(z, y).data
+            expected = result.generator(z, y).data
         assert np.array_equal(ours, expected)
 
     def test_best_checkpoint_holds_both_nets_of_the_best_step(self, tmp_path):
-        data, labels = toy_windows(32)
-        result = train_wgan(data, labels, K, small_cfg(epochs=3), out_dir=tmp_path)
+        """``best`` holds both nets as ``last`` held them at the end of the
+        best epoch: the same run cut at that epoch writes them."""
+        data, labels = toy_windows(32)          # two steps per epoch
+        result = train_wgan(data, labels, K, small_cfg(epochs=3), out_dir=tmp_path / "run")
         assert result.best_step < len(result.history)
-        ck = load_checkpoint(tmp_path / "gan_best.ckpt")
-        assert ck.step == result.best_step
-        assert ck.arrays.keys() == result.best_state.keys()
-        assert all(np.array_equal(v, result.best_state[k]) for k, v in ck.arrays.items())
+        train_wgan(data, labels, K, small_cfg(epochs=result.best_step // 2),
+                   out_dir=tmp_path / "cut")
+        ck = load_checkpoint(tmp_path / "run" / "gan_best.ckpt")
+        at_best = load_checkpoint(tmp_path / "cut" / "gan_last.ckpt")
+        assert ck.step == result.best_step == at_best.step
+        assert ck.arrays.keys() == {k for k in at_best.arrays if k.startswith("params/")}
+        assert all(np.array_equal(v, at_best.arrays[k]) for k, v in ck.arrays.items())
         critic = section(ck.arrays, "params/critic/")
         assert critic.keys() == result.critic.named_parameters().keys()
         assert not np.array_equal(critic["conv1.weight"], result.critic.conv1.weight.data)

@@ -1,5 +1,6 @@
-"""AGW1 window files, manifest round-trips and version refusal, split
-validation, CSV formats, and JSON and CSV writes that a failure leaves whole."""
+"""AGW1 window files, manifest round-trips and the refusal of other versions,
+missing keys and a subject in two splits, split validation, CSV formats, and
+JSON and CSV writes that a failure leaves whole."""
 
 import json
 import struct
@@ -119,8 +120,14 @@ class TestManifest:
         (lambda d: d["normalization"].update(scheme="none"), "unknown normalization"),
         (lambda d: d["normalization"].update(eps=1e-6), "unknown normalization"),
         (lambda d: d.pop("normalization"), "unknown normalization"),
+        (lambda d: d.pop("config_hash"), "manifest.json: no 'config_hash' key"),
+        (lambda d: d["entries"][4].pop("label"), "manifest.json: no 'label' key"),
+        (lambda d: d["entries"][4].update(split="bogus"), "unknown split 'bogus'"),
+        (lambda d: d["entries"][0].update(split="val"),
+         "manifest.json: subject 's0' appears in both 'val' and 'train'"),
     ], ids=["version_1", "version_2", "no_version", "scheme_none", "other_eps",
-            "no_normalization"])
+            "no_normalization", "no_config_hash", "entry_without_label", "unknown_split",
+            "subject_in_two_splits"])
     def test_load_refuses_other_versions_and_schemes(self, tmp_path, edit, match):
         man, _ = build_manifest(tmp_path)
         doc = man.to_dict()

@@ -136,7 +136,7 @@ class TestEma:
             params["theta"].data = np.array([float(step + 1)])
             ema.update(params)
         loaded = EmaShadow(quadratic_param(0.0), decay=0.999)
-        loaded.load(ema.state(), ema.updates)
+        loaded.load(ema.shadow, ema.updates)
         params["theta"].data = np.array([-3.0])
         ema.update(params)
         loaded.update(params)

@@ -1,11 +1,16 @@
 """`tools/same_bits.py`: one tree run twice writes the same bits, and the
-comparison names what differs, except a run record's timings."""
+comparison names what differs, except a run record's timings, inside JSON
+files and checkpoints."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from artifactgen.nn import save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_bits.py"
@@ -21,10 +26,15 @@ def test_one_tree_twice_writes_the_same_bits(tmp_path):
             assert (tmp_path / side / report / "report.json").is_file()
 
 
-def test_differences_ignore_only_the_timings_of_run_records(tmp_path):
+def load_tool():
     spec = importlib.util.spec_from_file_location("same_bits", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_differences_ignore_only_the_timings_of_run_records(tmp_path):
+    tool = load_tool()
     record = {"command": "curate", "config_hash": "a", "elapsed_s": 1.0, "peak_rss_mb": 9.0}
     files = {
         "old": {"run.json": record, "d/run.json": record, "report.json": {"x": 1, "y": 2},
@@ -44,4 +54,18 @@ def test_differences_ignore_only_the_timings_of_run_records(tmp_path):
         "d/run.json: differs in config_hash",
         "report.json: differs in y",
         "w.agw: bytes differ",
+    ]
+
+
+def test_differences_name_what_differs_inside_a_checkpoint(tmp_path):
+    w = np.arange(6.0).reshape(2, 3)
+    for side, shift, step in (("old", 0.0, 3), ("new", 0.5, 4)):
+        (tmp_path / side).mkdir()
+        save_checkpoint(tmp_path / side / "m_last.ckpt", {"params/net/w": w + shift,
+                                                          "ema/net/w": w},
+                        step=4, meta={"config": {"a": 1} if side == "old" else {}})
+        save_checkpoint(tmp_path / side / "m_best.ckpt", {"params/net/w": w}, step=step)
+    assert load_tool().differences(tmp_path / "old", tmp_path / "new") == [
+        "m_best.ckpt: differs in step",
+        "m_last.ckpt: differs in meta, params/net/w",
     ]

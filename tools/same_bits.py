@@ -9,8 +9,9 @@ both normalization schemes, `train` of both models, `sample` of the WGAN and
 of the DDPM at guidance 1.5 and at 1.0, and `evaluate` of both models. Every
 output file of one run is then compared with its twin from the other. A
 ``run.json`` is compared on its keys other than the timings; for any other
-JSON file that differs, the top-level keys that differ are named. Each tree's
-``src/`` line count is printed too.
+JSON file that differs, the top-level keys that differ are named, and for a
+checkpoint, the arrays that differ and ``step`` and ``meta`` if they do. Each
+tree's ``src/`` line count is printed too.
 
 Exit status: 0 when every file matches, 1 when some differ, 2 when a pipeline
 fails.
@@ -49,9 +50,9 @@ STEPS = (
        "--steps", "10", "--guidance", g, "--seed", "5", "--out", f"ddpm_g{g}")
       for g in ("1.5", "1.0")),
     ("evaluate", "--config", "minmax.yaml", "--real", "minmax/dataset/manifest.json",
-     "--fake", "wgan=wgan", "--out", "eval_wgan/report.json"),
+     "--fake", "wgan=wgan", "--out", "eval_wgan"),
     ("evaluate", "--config", "zscore.yaml", "--real", "zscore/dataset/manifest.json",
-     "--fake", "ddpm=ddpm_g1.5", "--out", "eval_ddpm/report.json"),
+     "--fake", "ddpm=ddpm_g1.5", "--out", "eval_ddpm"),
 )
 
 
@@ -80,6 +81,15 @@ def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py"))
 
 
+def _checkpoint_fields(raw: bytes) -> dict:
+    """A checkpoint's arrays, by key, with its ``step`` and ``meta``."""
+    from artifactgen.nn import load_checkpoint
+
+    ck = load_checkpoint(raw)
+    return {**{k: (v.shape, v.tobytes()) for k, v in ck.arrays.items()},
+            "step": ck.step, "meta": ck.meta}
+
+
 def differences(old: Path, new: Path) -> list[str]:
     """One line per output file that is not the same under both roots."""
     def files(root: Path) -> set[Path]:
@@ -92,10 +102,11 @@ def differences(old: Path, new: Path) -> list[str]:
         x, y = (old / rel).read_bytes(), (new / rel).read_bytes()
         if x == y:
             continue
-        if rel.suffix != ".json":
+        if rel.suffix not in (".json", ".ckpt"):
             lines.append(f"{rel}: bytes differ")
             continue
-        dx, dy = json.loads(x), json.loads(y)
+        load = _checkpoint_fields if rel.suffix == ".ckpt" else json.loads
+        dx, dy = load(x), load(y)
         skip = TIMING_KEYS if rel.name == "run.json" else set()
         keys = sorted(k for k in dx.keys() | dy.keys()
                       if k not in skip and dx.get(k) != dy.get(k))
@@ -115,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--work", type=Path,
                    help="keep the outputs under this directory (default: a temporary one)")
     args = p.parse_args(argv)
+    # this process reads checkpoints with the loader of the tree the tool is in
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
