@@ -28,7 +28,6 @@ from .diffusion import SamplerConfig, load_unet, sample, train_ddpm
 from .gan import load_generator, train_wgan
 from .manifest import (
     Manifest,
-    SplitViolation,
     load_window_set,
     read_class_map_csv,
     read_split_csv,
@@ -117,7 +116,7 @@ def cmd_curate(args) -> tuple[Path, str, str, int]:
         raise ConfigError("curation produced no windows")
     manifest = write_windows(windows, labels, subjects, out_dir, split_of, cfg.hash(),
                              cfg.seed, class_map, scheme, cfg.data.sample_rate)
-    manifest.save(out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", manifest.to_dict())
     report = validate_split(manifest)
     write_split_csv(out_dir / "split.csv", {s: split_of[s] for s in set(subjects)})
     write_class_map_csv(out_dir / "class_map.csv", class_map)
@@ -321,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         })
         return 0
-    except (ConfigError, SplitViolation, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

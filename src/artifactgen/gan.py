@@ -7,7 +7,7 @@ Architecture (canonical L = 250, scaled widths allowed):
                 -> convT k9 s5 p2 -> (128, L/2) -> convT k8 s2 p3 -> (64, L)
                 -> conv k9 s1 p4 -> (32, L) -> conv k9 s1 p4 -> (C, L) -> tanh
     critic      mirrored strides: conv k8 s2 p3 -> conv k9 s5 p2 -> conv k9 s5 p2,
-                leaky_relu(0.2), global average pooling -> features phi (dim h),
+                leaky_relu(0.2), mean over time -> features phi (dim h),
                 score = w^T phi + <phi, e_y> with a learned class embedding e_y.
 
 The stride-2 layers use an even kernel (8) so the transposed-conv length
@@ -35,7 +35,6 @@ from .nn import (
     Tensor,
     backward,
     concat,
-    global_avg_pool1d,
     grad,
     leaky_relu,
     no_grad,
@@ -138,7 +137,7 @@ class ProjectionCritic(Module):
         h = leaky_relu(self.conv1(x), self.slope)
         h = leaky_relu(self.conv2(h), self.slope)
         h = leaky_relu(self.conv3(h), self.slope)
-        return global_avg_pool1d(h)
+        return h.mean(axis=2)
 
     def forward(self, x: Tensor | np.ndarray, y: np.ndarray) -> Tensor:
         """Scores of windows ``x`` with labels ``y``, computed in the dtype of

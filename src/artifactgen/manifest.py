@@ -6,10 +6,10 @@ then C*L float32 values channel-major, one file per window. The manifest
 map, the sampling rate ``fs`` the windows were cut at, one top-level
 ``"normalization": {"scheme", "eps"}`` for the whole set, and one entry per
 window: its ``path``, ``label``, ``subject`` and ``split``. `Manifest.load`
-refuses other versions, a missing key and a subject in two splits.
-`write_json` writes the manifest and every other JSON record whole (through
-`nn.checkpoint.atomic_open`), as the CSV writers write theirs, so a failed
-write leaves the previous file.
+refuses other versions, a missing or malformed key, a label outside [0, K) and
+a subject in two splits. `write_json` writes the manifest and every other JSON
+record whole (through `nn.checkpoint.atomic_open`), as the CSV writers write
+theirs, so a failed write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -120,9 +120,6 @@ class Manifest:
             "entries": [asdict(e) for e in self.entries],
         }
 
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
-
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
         with open(path) as f:
@@ -130,8 +127,9 @@ class Manifest:
         if d.get("version") != MANIFEST_VERSION:
             raise ValueError(f"{path}: unsupported manifest version {d.get('version')}; "
                              f"curate the dataset again to write version {MANIFEST_VERSION}")
-        norm = d.get("normalization", {})
-        if norm.get("scheme") not in SCHEMES or norm.get("eps") != EPS:
+        norm = d.get("normalization")
+        if not (isinstance(norm, dict) and norm.get("scheme") in SCHEMES
+                and norm.get("eps") == EPS):
             raise ValueError(f"{path}: unknown normalization {norm}; expected a scheme "
                              f"in {SCHEMES} with eps {EPS}")
         try:
@@ -146,7 +144,9 @@ class Manifest:
             )
         except KeyError as exc:
             raise ValueError(f"{path}: no {exc} key") from None
-        _check_splits(manifest.entries, path)
+        except (TypeError, IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed manifest: {exc}") from None
+        _check_entries(manifest, path)
         return manifest
 
 
@@ -154,11 +154,15 @@ class SplitViolation(ValueError):
     """A subject appears in more than one split."""
 
 
-def _check_splits(entries: list[ManifestEntry], source: str | Path) -> None:
-    """ValueError, naming ``source``, on an entry of an unknown split, and
-    :class:`SplitViolation` on the first subject found in two splits."""
+def _check_entries(manifest: Manifest, source: str | Path) -> None:
+    """ValueError, naming ``source``, on an entry of an unknown split or of a
+    label outside [0, K), and :class:`SplitViolation` on the first subject
+    found in two splits."""
+    k = len(manifest.class_map)
     subject_splits: dict[str, str] = {}
-    for e in entries:
+    for e in manifest.entries:
+        if not 0 <= e.label < k:
+            raise ValueError(f"{source}: entry {e.path}: label {e.label} outside [0, {k})")
         if e.split not in SPLITS:
             raise ValueError(f"{source}: entry {e.path}: unknown split '{e.split}'")
         prev = subject_splits.setdefault(e.subject, e.split)
@@ -173,7 +177,7 @@ def validate_split(manifest: Manifest) -> dict:
     Raises :class:`SplitViolation` naming the first offending subject. An empty
     split only warns (desk-scale corpora may lack one).
     """
-    _check_splits(manifest.entries, "manifest")
+    _check_entries(manifest, "manifest")
     k = len(manifest.class_map)
     report = {s: {"subjects": set(), "windows": 0, "per_class": [0] * k} for s in SPLITS}
     for e in manifest.entries:

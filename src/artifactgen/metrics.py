@@ -1,10 +1,10 @@
 """Evaluation suite for comparing real and synthetic window sets.
 
-Spectral fidelity (bandwise relative error, PSD L2), amplitude bias
-(per-channel mean discrepancies), distributional similarity (unbiased MMD with
-an RBF kernel on the median-heuristic bandwidth), a pairwise-correlation
-diversity proxy, channel-covariance Frobenius and ACF L2 distances, 1-NN
-real-vs-fake separability, and class-conditional kNN recovery.
+Spectral fidelity (bandwise relative error, PSD L2), distributional
+similarity (unbiased MMD with an RBF kernel on the median-heuristic
+bandwidth), a pairwise-correlation diversity proxy, channel-covariance
+Frobenius and ACF L2 distances, 1-NN real-vs-fake separability, and
+class-conditional kNN recovery. Each report key is ``<metric>_<model>``.
 
 All metrics operate on flattened raw windows (there is no learned feature
 encoder in this artifact); the report header records that choice. Welch
@@ -12,7 +12,7 @@ settings are shared between both sides of every comparison.
 
 A `WindowSet` holds a read-only view of its windows and keeps the statistics
 the metrics read, each computed on first use over the whole ``(N, C, L)``
-array: channel means, covariance, the PSD per `WelchSettings`, the ACF per lag
+array: the channel covariance, the PSD per `WelchSettings`, the ACF per lag
 count, and the squared-distance block to itself and to each set it meets, so
 MMD, 1-NN and kNN of one pair share one GEMM. `compute_report` is a loop over
 the public pair functions and `diversity`.
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 REL_ERR_EPS = 1e-8
-MODEL_PREFIX = {"ddpm": "d", "wgan": "g"}  # paper-style field prefixes
+MODELS = ("ddpm", "wgan")
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,6 @@ class WindowSet:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(self.n, -1)
-
-    @cached_property
-    def mu(self) -> np.ndarray:
-        """(C,) channel means."""
-        return _frozen(self.data.mean(axis=(0, 2)))
 
     @cached_property
     def cov(self) -> np.ndarray:
@@ -170,24 +165,21 @@ def psd_l2_error(real: WindowSet, fake: WindowSet,
     return float(np.sum((real.psd(welch).power - fake.psd(welch).power) ** 2))
 
 
-def mmd_unbiased(x_set: WindowSet, y_set: WindowSet,
-                 bandwidth: float | None = None) -> float:
+def mmd_unbiased(x_set: WindowSet, y_set: WindowSet) -> float:
     """Unbiased squared-MMD U-statistic with an RBF kernel on flattened windows.
 
-    Kernel bandwidth defaults to the median heuristic over the pooled pairwise
-    distances. The estimate can be slightly negative (unbiasedness).
+    The kernel bandwidth is the median heuristic: the median of the pooled
+    pairwise distances, read from the within-set upper triangles and the whole
+    cross block. The estimate can be slightly negative (unbiasedness).
     """
     _check_pair(x_set, y_set)
     m, n = x_set.n, y_set.n
     if m < 2 or n < 2:
         raise ValueError("MMD needs at least 2 samples on each side")
     d_xx, d_yy, d_xy = x_set.sq_dist(x_set), y_set.sq_dist(y_set), x_set.sq_dist(y_set)
-    if bandwidth is None:
-        # the median heuristic: the median of the pooled pairwise distances, read
-        # from the within-set upper triangles and the whole cross block
-        pairs = np.concatenate([d_xx[np.triu_indices(m, k=1)], d_yy[np.triu_indices(n, k=1)],
-                                d_xy.ravel()])
-        bandwidth = float(np.median(np.sqrt(np.maximum(pairs, 0.0)))) or 1.0
+    pairs = np.concatenate([d_xx[np.triu_indices(m, k=1)], d_yy[np.triu_indices(n, k=1)],
+                            d_xy.ravel()])
+    bandwidth = float(np.median(np.sqrt(np.maximum(pairs, 0.0)))) or 1.0
     gamma = 1.0 / (2.0 * bandwidth ** 2)
     kxx, kyy, kxy = (np.exp(-gamma * np.maximum(d2, 0.0)) for d2 in (d_xx, d_yy, d_xy))
     term_x = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
@@ -298,27 +290,23 @@ def compute_report(
     seeds: dict | None = None,
 ) -> MetricReport:
     """Run the full suite for each model set against the shared real set."""
-    bad = set(fakes) - set(MODEL_PREFIX)
+    bad = set(fakes) - set(MODELS)
     if bad:
         raise ValueError(f"unknown model keys {sorted(bad)}; expected subset of "
-                         f"{sorted(MODEL_PREFIX)}")
+                         f"{sorted(MODELS)}")
     for fake in fakes.values():
         _check_pair(real, fake)
     bands = dsp.canonical_bands(real.fs)
 
     metrics: dict = {"diversity_real": diversity(real)}
-    skipped = {m: "no window set provided" for m in MODEL_PREFIX if m not in fakes}
+    skipped = {m: "no window set provided" for m in MODELS if m not in fakes}
     if skipped:
         metrics["skipped"] = skipped
 
     for name, fake in fakes.items():
-        p = MODEL_PREFIX[name]
         for band_name, val in bandwise_rel_err(real, fake, bands, welch).items():
             metrics[f"rel_err_{band_name}_{name}"] = val
         metrics[f"psd_l2_{name}"] = psd_l2_error(real, fake, welch)
-        delta = fake.mu - real.mu
-        metrics[f"{p}_mu_diff"] = delta.tolist()
-        metrics[f"{p}_mean_effect"] = float(np.mean(np.abs(delta)))
         metrics[f"mmd_r_{name}"] = mmd_unbiased(real, fake)
         metrics[f"diversity_{name}"] = diversity(fake)
         metrics[f"cov_frob_{name}"] = cov_frobenius(real, fake)
@@ -346,10 +334,10 @@ def compute_report(
 
 
 def render_table(report: MetricReport) -> str:
-    """Aligned text table: per-band relative errors per model, MMD pairs,
-    diversity, per-channel mean discrepancies and the remaining globals."""
+    """Aligned text table: per-band relative errors per model, the pair
+    metrics and diversity per model, and kNN class recovery."""
     m = report.metrics
-    models = [name for name in MODEL_PREFIX if f"psd_l2_{name}" in m]
+    models = [name for name in MODELS if f"psd_l2_{name}" in m]
     bands = [b[0] for b in report.meta["bands"]]
     lines = []
     width = 14
@@ -371,12 +359,6 @@ def render_table(report: MetricReport) -> str:
     lines.append("diversity_real".ljust(width) + f"{m['diversity_real']:.6g}".rjust(width))
 
     lines.append("")
-    for name in models:
-        p = MODEL_PREFIX[name]
-        mu = m[f"{p}_mu_diff"]
-        lines.append(f"{p}_mu_diff".ljust(width)
-                     + " ".join(f"{v:+.4g}" for v in mu)
-                     + f"   ({p}_mean_effect={m[f'{p}_mean_effect']:.6g})")
     for name in models:
         rec = m[f"knn_recovery_{name}"]
         per = " ".join(f"{c}:{(f'{a:.3f}' if a is not None else 'n/a')}"

@@ -19,7 +19,6 @@ from .layers import (
     Linear,
     Module,
     film,
-    global_avg_pool1d,
 )
 from .optim import Adam, EmaShadow
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -28,7 +27,7 @@ __all__ = [
     "Tensor", "backward", "grad", "no_grad",
     "concat", "matmul", "leaky_relu", "silu", "gather_rows",
     "Module", "Linear", "Conv1d", "ConvTranspose1d", "Embedding", "GroupNorm",
-    "film", "global_avg_pool1d",
+    "film",
     "Adam", "EmaShadow",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
 ]

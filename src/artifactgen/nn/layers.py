@@ -1,5 +1,5 @@
 """Neural-network layers on top of the autodiff tensor: 1D convolutions,
-linear/embedding layers, group normalization fused with SiLU, FiLM and pooling.
+linear/embedding layers, group normalization fused with SiLU, and FiLM.
 
 Convolutions use explicit symmetric zero padding; transposed convolutions
 follow L_out = (L_in - 1) * stride + kernel - 2 * padding. Weights initialize
@@ -39,7 +39,6 @@ __all__ = [
     "Embedding",
     "GroupNorm",
     "film",
-    "global_avg_pool1d",
 ]
 
 
@@ -303,8 +302,3 @@ def film(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel affine modulation gamma * h + beta, broadcast over time."""
     b, c = gamma.shape[0], gamma.shape[1]
     return h * gamma.reshape((b, c, 1)) + beta.reshape((b, c, 1))
-
-
-def global_avg_pool1d(x: Tensor) -> Tensor:
-    """(B, C, L) -> (B, C), mean over time."""
-    return x.mean(axis=2)

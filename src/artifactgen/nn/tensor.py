@@ -103,10 +103,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -188,27 +184,14 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         a = self
-        data = np.sum(a.data, axis=axis, keepdims=keepdims)
-
-        def vjp(g):
-            gd = g
-            if not keepdims and axis is not None:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                shape = list(g.data.shape)
-                for ax in sorted(ax % a.data.ndim for ax in axes):
-                    shape.insert(ax, 1)
-                gd = gd.reshape(tuple(shape))
-            elif not keepdims and axis is None:
-                gd = gd.reshape((1,) * a.data.ndim)
-            return (gd.broadcast_to(a.data.shape),)
-
-        return Tensor._result(np.asarray(data), (a,), vjp, "sum")
+        data = np.sum(a.data, axis=axis, keepdims=True)
+        kept = data.shape
+        return Tensor._result(data if keepdims else data.squeeze(axis), (a,),
+                              lambda g: (g.reshape(kept).broadcast_to(a.data.shape),), "sum")
 
     def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[ax % self.data.ndim]
-             for ax in (axis if isinstance(axis, tuple) else (axis,))])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+        total = self.sum(axis=axis, keepdims=keepdims)
+        return total * (1.0 / float(self.data.size // total.data.size))
 
     def reshape(self, shape):
         a = self

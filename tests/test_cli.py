@@ -347,11 +347,15 @@ def move_two_windows_to_test(doc):
     (lambda d: d.pop("fs"), "no 'fs' key"),
     (lambda d: d["entries"][3].pop("subject"), "no 'subject' key"),
     (move_two_windows_to_test, "appears in both 'test' and 'train' splits"),
-], ids=["no_fs", "entry_without_subject", "subject_in_two_splits"])
+    (lambda d: d["entries"].__setitem__(3, "w000003.agw"), "malformed manifest"),
+    (lambda d: d["entries"][3].update(label=len(d["class_map"])), "label 5 outside [0, 5)"),
+], ids=["no_fs", "entry_without_subject", "subject_in_two_splits", "entry_a_string",
+        "label_of_the_null_token"])
 def test_manifest_it_cannot_read_is_refused(curated, sampled, tmp_path, capsys, command, edit,
                                             message):
-    """A manifest of the current version that lacks a key, or whose subject
-    sits in two splits, exits 2 naming the file, before anything is written."""
+    """A manifest of the current version that lacks a key, holds a key of the
+    wrong type or a label outside [0, K), or whose subject sits in two
+    splits, exits 2 naming the file, before anything is written."""
     code, edited = run_on_edited_manifest(command, curated, sampled, tmp_path, edit)
     assert code == 2
     assert f"{edited}: " in (err := capsys.readouterr().err) and message in err

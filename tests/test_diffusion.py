@@ -225,11 +225,15 @@ class TestUNet:
             assert out.shape == (1, 2, length)
 
     def test_null_token_accepted_real_labels_plus_one_rejected(self):
+        """The class embedding has K + 1 rows, so it takes the null token K
+        and refuses -1 and K + 1."""
         net = tiny_unet()
         x = np.zeros((1, 2, 8))
         net(x, np.array([1]), np.array([net.null_token]))
-        with pytest.raises(ValueError):
-            net(x, np.array([1]), np.array([net.null_token + 1]))
+        rows = net.null_token + 1
+        for y in (-1, rows):
+            with pytest.raises(ValueError, match=rf"index out of range \[0, {rows}\)"):
+                net(x, np.array([1]), np.array([y]))
 
     def test_film_zero_init_matches_unconditioned_block(self):
         net = tiny_unet()

@@ -15,7 +15,6 @@ from artifactgen.nn import (
     Linear,
     Tensor,
     film,
-    global_avg_pool1d,
     grad,
     matmul,
     no_grad,
@@ -196,10 +195,6 @@ class TestFilmAndPooling:
         numeric = numeric_grad(f, [h.data.copy(), gamma.data.copy(), beta.data.copy()])
         for a, n in zip(analytic, numeric):
             assert np.allclose(a, n, rtol=1e-4, atol=1e-7)
-
-    def test_global_avg_pool(self):
-        x = RNG.standard_normal((2, 3, 11))
-        assert np.allclose(global_avg_pool1d(Tensor(x)).data, x.mean(axis=2))
 
 
 def copy_state(module):

@@ -1,6 +1,7 @@
 """AGW1 window files, manifest round-trips and the refusal of other versions,
-missing keys and a subject in two splits, split validation, CSV formats, and
-JSON and CSV writes that a failure leaves whole."""
+missing or malformed keys, labels outside [0, K) and a subject in two splits,
+split validation, CSV formats, and JSON and CSV writes that a failure leaves
+whole."""
 
 import json
 import struct
@@ -76,7 +77,7 @@ def build_manifest(tmp_path, splits=("train", "val", "test")):
 class TestManifest:
     def test_json_round_trip(self, tmp_path):
         man, _ = build_manifest(tmp_path)
-        man.save(tmp_path / "manifest.json")
+        write_json(tmp_path / "manifest.json", man.to_dict())
         loaded = Manifest.load(tmp_path / "manifest.json")
         assert loaded.to_dict() == man.to_dict()
 
@@ -92,8 +93,8 @@ class TestManifest:
         (tmp_path / "b").mkdir()
         m1, _ = build_manifest(tmp_path / "a")
         m2, _ = build_manifest(tmp_path / "b")
-        m1.save(tmp_path / "m1.json")
-        m2.save(tmp_path / "m2.json")
+        write_json(tmp_path / "m1.json", m1.to_dict())
+        write_json(tmp_path / "m2.json", m2.to_dict())
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
     def test_split_loading(self, tmp_path):
@@ -105,7 +106,7 @@ class TestManifest:
         """Version 3 names the scheme, eps and fs once; an entry holds no
         per-window statistics."""
         man, _ = build_manifest(tmp_path)
-        man.save(tmp_path / "manifest.json")
+        write_json(tmp_path / "manifest.json", man.to_dict())
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["version"] == 3 and doc["fs"] == 250.0
         assert doc["normalization"] == {"scheme": "minmax_window", "eps": EPS}
@@ -120,14 +121,22 @@ class TestManifest:
         (lambda d: d["normalization"].update(scheme="none"), "unknown normalization"),
         (lambda d: d["normalization"].update(eps=1e-6), "unknown normalization"),
         (lambda d: d.pop("normalization"), "unknown normalization"),
+        (lambda d: d.update(normalization=None), "unknown normalization None"),
         (lambda d: d.pop("config_hash"), "manifest.json: no 'config_hash' key"),
         (lambda d: d["entries"][4].pop("label"), "manifest.json: no 'label' key"),
         (lambda d: d["entries"][4].update(split="bogus"), "unknown split 'bogus'"),
         (lambda d: d["entries"][0].update(split="val"),
          "manifest.json: subject 's0' appears in both 'val' and 'train'"),
+        (lambda d: d["entries"].__setitem__(4, "w000004.agw"), "manifest.json: malformed"),
+        (lambda d: d.update(entries=None), "manifest.json: malformed"),
+        (lambda d: d.update(class_map=[name for name, _ in d["class_map"]]),
+         "manifest.json: malformed"),
+        (lambda d: d["entries"][4].update(label=5), r"w000004.agw: label 5 outside \[0, 5\)"),
+        (lambda d: d["entries"][4].update(label=-1), r"w000004.agw: label -1 outside \[0, 5\)"),
     ], ids=["version_1", "version_2", "no_version", "scheme_none", "other_eps",
-            "no_normalization", "no_config_hash", "entry_without_label", "unknown_split",
-            "subject_in_two_splits"])
+            "no_normalization", "null_normalization", "no_config_hash", "entry_without_label",
+            "unknown_split", "subject_in_two_splits", "entry_a_string", "entries_null",
+            "class_map_of_names", "label_of_the_null_token", "negative_label"])
     def test_load_refuses_other_versions_and_schemes(self, tmp_path, edit, match):
         man, _ = build_manifest(tmp_path)
         doc = man.to_dict()

@@ -1,6 +1,6 @@
 """`tools/same_bits.py`: one tree run twice writes the same bits, and the
 comparison names what differs, except a run record's timings, inside JSON
-files and checkpoints."""
+files, report metrics and checkpoints."""
 
 import importlib.util
 import json
@@ -68,4 +68,22 @@ def test_differences_name_what_differs_inside_a_checkpoint(tmp_path):
     assert load_tool().differences(tmp_path / "old", tmp_path / "new") == [
         "m_best.ckpt: differs in step",
         "m_last.ckpt: differs in meta, params/net/w",
+    ]
+
+
+def test_differences_name_the_report_metrics_removed_added_or_changed(tmp_path):
+    kept = {"a_wgan": 1.0, "b_wgan": [1, 2], "c_wgan": 3.0}
+    old = {"meta": {"fs": 250.0}, "metrics": dict(kept, g_mu_diff=[0.5])}
+    reports = {"old": {"eval_a/report.json": old, "eval_b/report.json": old},
+               "new": {"eval_a/report.json": {"meta": old["meta"], "metrics": dict(
+                           kept, b_wgan=[1, 3], c_wgan=4.0, d_wgan=0.0)},
+                       "eval_b/report.json": {"meta": {"fs": 500.0}, "metrics": kept}}}
+    for side, tree in reports.items():
+        for name, doc in tree.items():
+            path = tmp_path / side / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(doc))
+    assert load_tool().differences(tmp_path / "old", tmp_path / "new") == [
+        "eval_a/report.json: removed g_mu_diff; added d_wgan; changed b_wgan, c_wgan",
+        "eval_b/report.json: differs in meta; removed g_mu_diff",
     ]

@@ -153,10 +153,35 @@ class TestPrimitiveGradients:
             assert np.allclose(an, n, rtol=1e-5, atol=1e-8), f"analytic {an}\nnumeric {n}"
 
     def test_reductions(self):
+        """Over every axis form, with keepdims on and off: values equal numpy's
+        sum, and the sum times 1/count, bit for bit; gradients pass first- and
+        second-order finite differences."""
         a = RNG.standard_normal((3, 4, 2))
-        check_grads(lambda t: (t[0].sum(axis=1) ** 2).sum(), [a])
-        check_grads(lambda t: (t[0].mean(axis=(0, 2)) ** 2).sum(), [a])
+        w = RNG.standard_normal((3, 4, 2))
         check_grads(lambda t: t[0].sum(axis=2, keepdims=True).mean(), [a])
+        for axis, count in ((None, 24), (1, 4), (-1, 2), ((0, 2), 6), ((-1, 0), 6)):
+            for keepdims in (False, True):
+                want = np.sum(a, axis=axis, keepdims=keepdims)
+                for reduce, scale in (("sum", None), ("mean", 1.0 / count)):
+                    case = f"{reduce}(axis={axis}, keepdims={keepdims})"
+                    got = getattr(Tensor(a), reduce)(axis, keepdims).data
+                    assert got.shape == want.shape, case
+                    assert np.array_equal(got, want if scale is None else want * scale), case
+                    check_grads(lambda t: (getattr(t[0], reduce)(axis, keepdims) ** 2).sum(),
+                                [a])
+
+                    def penalty(arrs):
+                        x, wt = (Tensor(v, requires_grad=True) for v in arrs)
+                        inner = (getattr((x * wt).tanh(), reduce)(axis, keepdims) ** 2).sum()
+                        (gx,) = grad(inner, [x], create_graph=True)
+                        return (gx * gx).sum(), [x, wt]
+
+                    out, tensors = penalty([a, w])
+                    analytic = [g.data for g in grad(out, tensors)]
+                    numeric = numeric_grad(lambda arrs: penalty(arrs)[0].item(),
+                                           [a.copy(), w.copy()])
+                    for an, n in zip(analytic, numeric):
+                        assert np.allclose(an, n, rtol=1e-5, atol=1e-8), case
 
     def test_shape_ops(self):
         a = RNG.standard_normal((2, 6))

@@ -9,7 +9,8 @@ both normalization schemes, `train` of both models, `sample` of the WGAN and
 of the DDPM at guidance 1.5 and at 1.0, and `evaluate` of both models. Every
 output file of one run is then compared with its twin from the other. A
 ``run.json`` is compared on its keys other than the timings; for any other
-JSON file that differs, the top-level keys that differ are named, and for a
+JSON file that differs, the top-level keys that differ are named (for a
+``report.json``, each ``metrics`` key removed, added or changed), and for a
 checkpoint, the arrays that differ and ``step`` and ``meta`` if they do. Each
 tree's ``src/`` line count is printed too.
 
@@ -110,8 +111,16 @@ def differences(old: Path, new: Path) -> list[str]:
         skip = TIMING_KEYS if rel.name == "run.json" else set()
         keys = sorted(k for k in dx.keys() | dy.keys()
                       if k not in skip and dx.get(k) != dy.get(k))
-        if keys:
-            lines.append(f"{rel}: differs in {', '.join(keys)}")
+        metrics = []
+        if rel.name == "report.json" and "metrics" in keys:
+            keys.remove("metrics")
+            mx, my = dx["metrics"], dy["metrics"]
+            metrics = [f"{verb} {', '.join(sorted(names))}" for verb, names in (
+                ("removed", mx.keys() - my.keys()), ("added", my.keys() - mx.keys()),
+                ("changed", {k for k in mx.keys() & my.keys() if mx[k] != my[k]})) if names]
+        parts = ([f"differs in {', '.join(keys)}"] if keys else []) + metrics
+        if parts:
+            lines.append(f"{rel}: {'; '.join(parts)}")
     return lines
 
 
