@@ -233,6 +233,8 @@ def cmd_evaluate(args) -> tuple[Path, str, str, int]:
             raise ConfigError(f"no provenance.json in '{fake_dir}': cannot tell which model "
                               f"made its windows, nor on which normalization")
         prov = json.loads(provenance.read_text())
+        if not isinstance(prov, dict):
+            raise ConfigError(f"{provenance}: not a JSON object")
         model = prov.get("model")
         if model != name:
             raise ConfigError(f"--fake {name}: '{fake_dir}' holds windows of model '{model}'")

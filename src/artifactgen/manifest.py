@@ -124,6 +124,8 @@ class Manifest:
     def load(cls, path: str | Path) -> "Manifest":
         with open(path) as f:
             d = json.load(f)
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: malformed manifest: not a JSON object")
         if d.get("version") != MANIFEST_VERSION:
             raise ValueError(f"{path}: unsupported manifest version {d.get('version')}; "
                              f"curate the dataset again to write version {MANIFEST_VERSION}")
@@ -155,12 +157,14 @@ class SplitViolation(ValueError):
 
 
 def _check_entries(manifest: Manifest, source: str | Path) -> None:
-    """ValueError, naming ``source``, on an entry of an unknown split or of a
-    label outside [0, K), and :class:`SplitViolation` on the first subject
-    found in two splits."""
+    """ValueError, naming ``source``, on an entry whose path, subject or split
+    is not a string, of an unknown split or of a label outside [0, K), and
+    :class:`SplitViolation` on the first subject found in two splits."""
     k = len(manifest.class_map)
     subject_splits: dict[str, str] = {}
     for e in manifest.entries:
+        if not all(isinstance(v, str) for v in (e.path, e.subject, e.split)):
+            raise ValueError(f"{source}: entry {e.path!r}: path, subject and split must be strings")
         if not 0 <= e.label < k:
             raise ValueError(f"{source}: entry {e.path}: label {e.label} outside [0, {k})")
         if e.split not in SPLITS:

@@ -12,10 +12,11 @@ float64; `Module.astype` converts them to float32, and every layer then
 computes in float32 (the dtype rule of `nn.tensor`). Sampling runs float32
 nets, and training float32 twins of the float64 master nets.
 
-Conv1d, ConvTranspose1d and GroupNorm each record one tape node that saves
-only its input and parameters (GroupNorm also its per-group statistics). The
-convolutions' vjps rebuild their im2col frames with tape primitives, so a
-backward pass with ``create_graph=True`` still differentiates through them.
+Conv1d, ConvTranspose1d and GroupNorm each record one tape node, whose vjp
+holds only the layer's input and parameters (GroupNorm's also its per-group
+statistics); no node holds a layer's output. The convolutions' vjps rebuild
+their im2col frames with tape primitives, so a backward pass with
+``create_graph=True`` still differentiates through them.
 Each weight gradient is one flat GEMM over the whole batch, on batch-flat
 frames (C*k, B*L) of the input (Conv1d) or of the output gradient
 (ConvTranspose1d), a gather that copies whole time rows. GroupNorm includes
@@ -223,9 +224,10 @@ GROUP_NORM_EPS = 1e-5
 class GroupNorm(Module):
     """Group normalization followed by SiLU: ``silu(gamma * xhat + beta)``.
 
-    One tape node that saves only its input and the per-group statistics; the
-    SiLU is part of the layer. Its vjp computes in numpy and is first-order
-    only: a backward pass through it with ``create_graph=True`` raises.
+    One tape node whose vjp holds only its input and the per-group
+    statistics; the SiLU is part of the layer. Its vjp computes in numpy and
+    is first-order only: a backward pass through it with
+    ``create_graph=True`` raises.
     """
 
     def __init__(self, groups: int, channels: int):

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Every operation records its parents and a vjp closure on the implicit tape
-(the graph of `Tensor` nodes). Crucially, the vjp closures are themselves
+Every operation records a node on the implicit tape: its parents' nodes, a
+vjp closure and its op name. Crucially, the vjp closures are themselves
 written in terms of these primitive operations, so a backward pass executed
 with ``create_graph=True`` builds a new differentiable graph - this is what
 lets the gradient-penalty loss backpropagate through an input gradient.
@@ -9,13 +9,15 @@ The exception is a vjp that computes in plain numpy, for a layer off the
 critic's path (`nn.layers.GroupNorm`): it raises under ``create_graph=True``
 rather than return a gradient that the new graph would treat as a constant.
 
-A graph can be backpropagated once unless ``create_graph=True``: a plain
+A node holds no array, and a leaf tensor is its own node. A vjp closure holds
+the input tensors whose values its rule reads (a rule that needs the output -
+tanh, sigmoid, sqrt, div - recomputes it from them) and only the shapes of
+the rest, so an array lives only while user code or a vjp that reads it holds
+it. A graph can be backpropagated once unless ``create_graph=True``: a plain
 backward pass releases each node's vjp and parents as soon as it has run,
 so the tape is freed while the walk goes on, and a second pass through the
-released graph raises. A vjp closure holds only its op's inputs; a rule
-that needs the output (tanh, sigmoid, sqrt, div) recomputes it from them.
-So a tape that is dropped without a backward pass is freed by reference
-counting alone, and under `no_grad` no closure is stored at all.
+released graph raises. A tape that is dropped without a backward pass is
+freed by reference counting alone, and under `no_grad` no node is stored.
 
 Values are float64 or float32. A tensor keeps a float32 array as float32 and
 stores anything else as float64, and every op computes in the dtype of its
@@ -60,37 +62,42 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A non-leaf result's tape record: parents' nodes, vjp and op; no array."""
+
+    __slots__ = ("_parents", "_vjp", "op")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, vjp, op: str):
+        self._parents, self._vjp, self.op = parents, vjp, op
+
+
 class Tensor:
     """A float64 or float32 array with optional derivative tracking; see the
     module docstring for the dtype rule."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
+    _parents, _vjp, op = (), None, "leaf"   # a leaf tensor is its own tape node
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         self.data = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.grad: Tensor | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
-        self.op = "leaf"
+        self._node: _Node | None = None
 
     # ---- construction -----------------------------------------------------
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], vjp, op: str) -> "Tensor":
+        """``data`` with a tape node over ``parents`` when grad is on and one of
+        them requires it; ``vjp`` returns one gradient (or None) per parent."""
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.op = op
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._vjp = None
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out._node = (_Node(tuple(p._node or p for p in parents), vjp, op)
+                     if out.requires_grad else None)
         return out
 
     # ---- basic introspection ----------------------------------------------
@@ -108,23 +115,23 @@ class Tensor:
 
     def __repr__(self) -> str:
         grad_tag = ", requires_grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, op={self.op}{grad_tag})"
+        return f"Tensor(shape={self.data.shape}, op={(self._node or self).op}{grad_tag})"
 
     # ---- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         a, b = self, _as_tensor(other, self)
-        data = a.data + b.data
-        return Tensor._result(data, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)), "add")
+        sa, sb = a.data.shape, b.data.shape
+        return Tensor._result(a.data + b.data, (a, b), lambda g: (
+            _unbroadcast(g, sa), _unbroadcast(g, sb)), "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self, _as_tensor(other, self)
-        data = a.data - b.data
-        return Tensor._result(data, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)), "sub")
+        sa, sb = a.data.shape, b.data.shape
+        return Tensor._result(a.data - b.data, (a, b), lambda g: (
+            _unbroadcast(g, sa), _unbroadcast(-g, sb)), "sub")
 
     def __rsub__(self, other):
         return _as_tensor(other, self) - self
@@ -183,20 +190,19 @@ class Tensor:
     # ---- reductions / shape ---------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-        data = np.sum(a.data, axis=axis, keepdims=True)
-        kept = data.shape
-        return Tensor._result(data if keepdims else data.squeeze(axis), (a,),
-                              lambda g: (g.reshape(kept).broadcast_to(a.data.shape),), "sum")
+        data = np.sum(self.data, axis=axis, keepdims=True)
+        kept, shape = data.shape, self.data.shape
+        return Tensor._result(data if keepdims else data.squeeze(axis), (self,),
+                              lambda g: (g.reshape(kept).broadcast_to(shape),), "sum")
 
     def mean(self, axis=None, keepdims: bool = False):
         total = self.sum(axis=axis, keepdims=keepdims)
         return total * (1.0 / float(self.data.size // total.data.size))
 
     def reshape(self, shape):
-        a = self
-        return Tensor._result(a.data.reshape(shape), (a,),
-                              lambda g: (g.reshape(a.data.shape),), "reshape")
+        old = self.data.shape
+        return Tensor._result(self.data.reshape(shape), (self,),
+                              lambda g: (g.reshape(old),), "reshape")
 
     def swapaxes(self, a1: int, a2: int):
         a = self
@@ -204,12 +210,11 @@ class Tensor:
                               lambda g: (g.swapaxes(a1, a2),), "swapaxes")
 
     def broadcast_to(self, shape):
-        a = self
-        if a.data.shape == tuple(shape):
-            return a
-        data = np.ascontiguousarray(np.broadcast_to(a.data, shape))
-        return Tensor._result(data, (a,),
-                              lambda g: (_unbroadcast(g, a.data.shape),), "broadcast")
+        old = self.data.shape
+        if old == tuple(shape):
+            return self
+        data = np.ascontiguousarray(np.broadcast_to(self.data, shape))
+        return Tensor._result(data, (self,), lambda g: (_unbroadcast(g, old),), "broadcast")
 
     def narrow(self, axis: int, start: int, length: int):
         """Contiguous slice [start, start+length) along one axis."""
@@ -285,7 +290,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
     def vjp(g):
-        return tuple(g.narrow(ax, int(offsets[i]), sizes[i]) for i in range(len(tensors)))
+        return tuple(g.narrow(ax, int(offsets[i]), sizes[i]) for i in range(len(sizes)))
 
     return Tensor._result(data, tuple(tensors), vjp, "concat")
 
@@ -376,9 +381,9 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         raise TypeError("gather_rows needs integer indices")
-    data = table.data[idx]
-    return Tensor._result(data, (table,),
-                          lambda g: (_scatter_rows(g, idx, table.data.shape[0]),), "gather")
+    rows = table.data.shape[0]
+    return Tensor._result(table.data[idx], (table,),
+                          lambda g: (_scatter_rows(g, idx, rows),), "gather")
 
 
 def _scatter_rows(g: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
@@ -390,10 +395,10 @@ def _scatter_rows(g: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
 # ---- backward machinery -------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: _Node | Tensor) -> list[_Node | Tensor]:
+    order: list[_Node | Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -427,20 +432,19 @@ def _backprop(root: Tensor, create_graph: bool,
     """Walk the tape back from a scalar root; return ``inputs`` (by default the
     leaves the root depends on) with their gradients, None where untouched.
 
-    A node's gradient is dropped once its vjp has run, unless it is one of
-    ``inputs``. Without ``create_graph`` the node's vjp and parents are
-    released too, so the node and what its vjp saved are freed as the walk
-    goes on.
+    A node's gradient is dropped once its vjp has run, unless it is the node
+    of one of ``inputs``. Without ``create_graph`` the node's vjp and parents
+    are released too, so what its vjp saved is freed as the walk goes on.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar, got shape {root.data.shape}")
     if not root.requires_grad:
         return list(inputs or ()), [None] * len(inputs or ())
-    order = _topo_order(root)
+    order = _topo_order(root._node or root)
     if inputs is None:
         inputs = [node for node in order if node._vjp is None]
-    keep = {id(t) for t in inputs}
-    grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
+    keep = {id(t._node or t) for t in inputs}
+    grads: dict[int, Tensor] = {id(root._node or root): Tensor(np.ones_like(root.data))}
 
     with nullcontext() if create_graph else no_grad():
         while order:
@@ -458,7 +462,7 @@ def _backprop(root: Tensor, create_graph: bool,
                     continue
                 held = grads.get(id(parent))
                 grads[id(parent)] = pg if held is None else held + pg
-    return inputs, [grads.get(id(t)) for t in inputs]
+    return inputs, [grads.get(id(t._node or t)) for t in inputs]
 
 
 def backward(loss: Tensor, create_graph: bool = False) -> None:

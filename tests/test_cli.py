@@ -182,7 +182,8 @@ def test_sample_refuses_a_used_out_directory(checkpoints, tmp_path, capsys, left
 @pytest.mark.parametrize("change, message", [
     ("extra_window", "holds 5 windows, but its provenance.json records 4"),
     ("other_label", "has label 3, but its provenance.json records class 0"),
-], ids=["extra_window", "other_label"])
+    ("provenance_a_list", "mixed/provenance.json: not a JSON object"),
+], ids=["extra_window", "other_label", "provenance_a_list"])
 def test_evaluate_refuses_windows_its_provenance_does_not_describe(curated, sampled, tmp_path,
                                                                    capsys, change, message):
     mixed = tmp_path / "mixed"
@@ -192,8 +193,10 @@ def test_evaluate_refuses_windows_its_provenance_does_not_describe(curated, samp
     data, label = read_window_file(mixed / "w000000.agw")
     if change == "extra_window":
         write_window_file(mixed / "w000004.agw", data, label)
-    else:
+    elif change == "other_label":
         write_window_file(mixed / "w000000.agw", data, 3)
+    else:
+        (mixed / "provenance.json").write_text("[]")
     config, manifest = curated["gan"]
     assert run("evaluate", "--config", config, "--real", manifest, "--fake", f"wgan={mixed}",
                "--out", tmp_path / "eval") == 2

@@ -339,8 +339,8 @@ class TestFusedNodes:
         layer, x = make_layer(cls, shape)
         xt = Tensor(x, requires_grad=True)
         out = layer(xt)
-        assert out._parents[0] is xt
-        assert sorted(map(id, out._parents[1:])) == sorted(map(id, layer.parameters()))
+        assert out._node._parents[0] is xt
+        assert sorted(map(id, out._node._parents[1:])) == sorted(map(id, layer.parameters()))
 
     @pytest.mark.parametrize("cls, composite, shape", FUSED)
     def test_first_order_matches_fd(self, cls, composite, shape):

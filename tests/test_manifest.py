@@ -133,14 +133,23 @@ class TestManifest:
          "manifest.json: malformed"),
         (lambda d: d["entries"][4].update(label=5), r"w000004.agw: label 5 outside \[0, 5\)"),
         (lambda d: d["entries"][4].update(label=-1), r"w000004.agw: label -1 outside \[0, 5\)"),
+        ([], "manifest.json: malformed manifest: not a JSON object"),
+        (lambda d: d["entries"][4].update(subject=["s"]),
+         "manifest.json: entry 'w000004.agw': path, subject and split must be strings"),
     ], ids=["version_1", "version_2", "no_version", "scheme_none", "other_eps",
             "no_normalization", "null_normalization", "no_config_hash", "entry_without_label",
             "unknown_split", "subject_in_two_splits", "entry_a_string", "entries_null",
-            "class_map_of_names", "label_of_the_null_token", "negative_label"])
+            "class_map_of_names", "label_of_the_null_token", "negative_label",
+            "not_an_object", "subject_a_list"])
     def test_load_refuses_other_versions_and_schemes(self, tmp_path, edit, match):
+        """``edit`` changes the written document in place, or is the whole
+        document written instead."""
         man, _ = build_manifest(tmp_path)
         doc = man.to_dict()
-        edit(doc)
+        if callable(edit):
+            edit(doc)
+        else:
+            doc = edit
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             Manifest.load(tmp_path / "manifest.json")

@@ -1,12 +1,15 @@
 """Autodiff engine: every primitive against central finite differences,
 double backprop through input gradients, and graph bookkeeping: a backward
-pass releases the tape it walks, and a dropped tape is never cyclic garbage."""
+pass releases the tape it walks, a dropped tape is never cyclic garbage, and
+the tape keeps an array alive only while a vjp reads it."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from artifactgen.diffusion import ResBlock
 from artifactgen.nn import (
     Conv1d,
     ConvTranspose1d,
@@ -132,7 +135,7 @@ class TestPrimitiveGradients:
     def test_silu_is_one_node(self):
         x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
         out = silu(x)
-        assert out.op == "silu" and out._parents == (x,)
+        assert out._node.op == "silu" and out._node._parents == (x,)
         assert np.array_equal(out.data, (x * x.sigmoid()).data)
 
     def test_silu_second_order(self):
@@ -357,7 +360,7 @@ class TestTapeRelease:
         h = (x * 2.0).tanh()
         loss = (h * h).sum()
         backward(loss)
-        assert loss._parents == () and h._parents == ()
+        assert loss._node._parents == () and h._node._parents == ()
         assert x.grad is not None
 
 
@@ -397,7 +400,7 @@ class TestNoCyclicGarbage:
         x = Tensor(RNG.uniform(0.5, 2.0, (2, 2, 6)), requires_grad=True)
         with no_grad():
             out = CYCLE_OPS[op](x)
-        assert out._vjp is None and out._parents == ()
+        assert out._node is None
         del out
         assert gc.collect() == 0
 
@@ -410,3 +413,102 @@ class TestNoCyclicGarbage:
             backward((gx * gx).sum())
             del gx
         assert gc.collect() == 0
+
+
+def _param(shape):
+    return Tensor(np.random.default_rng(0).uniform(0.5, 1.5, shape), requires_grad=True)
+
+
+# op name -> its result on a (2, 3, 4) tensor, by a vjp that reads no input value
+SHAPE_ONLY_OPS = {
+    "add": lambda h: h + 1.0,
+    "sub": lambda h: 1.0 - h,
+    "sum": lambda h: h.sum(axis=1),
+    "reshape": lambda h: h.reshape((4, 6)),
+    "broadcast_to": lambda h: h.broadcast_to((2, 2, 3, 4)),
+    "narrow": lambda h: h.narrow(2, 1, 2),
+    "pad_axis": lambda h: h.pad_axis(2, 1, 2),
+    "concat": lambda h: concat([h, h], axis=1),
+    "swapaxes": lambda h: h.swapaxes(1, 2),
+}
+
+# ... and by a vjp that reads its input's value
+VALUE_OPS = {
+    "mul": lambda h: h * _param((3, 4)),
+    "matmul": lambda h: matmul(h, _param((4, 5))),
+    "Conv1d": lambda h: Conv1d(3, 2, 3, 1, 1, rng=np.random.default_rng(0))(h),
+    "ConvTranspose1d": lambda h: ConvTranspose1d(3, 2, 4, 2, 1, rng=np.random.default_rng(0))(h),
+    "GroupNorm": lambda h: GroupNorm(1, 3)(h),
+    "leaky_relu": leaky_relu,
+    "tanh": lambda h: h.tanh(),
+}
+
+
+class TestRetention:
+    """A graph node holds no array: an op's input lives on only while user
+    code or a vjp that reads it holds it. The collector is off, so what is
+    freed is freed by reference counting."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def non_leaf():
+        """A leaf that requires grad, and a non-leaf computed from it."""
+        x = Tensor(RNG.uniform(0.5, 2.0, (2, 3, 4)), requires_grad=True)
+        return x, x * 2.0
+
+    @pytest.mark.parametrize("op", SHAPE_ONLY_OPS)
+    def test_input_freed_while_the_graph_lives(self, op):
+        x, h = self.non_leaf()
+        held = weakref.ref(h.data)
+        loss = SHAPE_ONLY_OPS[op](h).sum()
+        del h
+        assert held() is None
+        backward(loss)
+        x_kept = Tensor(x.data, requires_grad=True)
+        h_kept = x_kept * 2.0
+        backward(SHAPE_ONLY_OPS[op](h_kept).sum())
+        assert np.array_equal(x.grad.data, x_kept.grad.data)
+
+    @pytest.mark.parametrize("op", VALUE_OPS)
+    def test_input_kept_until_backward(self, op):
+        x, h = self.non_leaf()
+        held = weakref.ref(h.data)
+        loss = VALUE_OPS[op](h).sum()
+        del h
+        assert held() is not None
+        backward(loss)
+        assert held() is None and x.grad is not None
+
+    def test_resblock_keeps_neither_film_product_nor_conv2_output(self, monkeypatch):
+        """Only `+ beta` consumes FiLM's product and only the residual add the
+        second conv's output, so neither outlives the forward; the first
+        conv's output, which FiLM's product rule reads, lives on."""
+        block = ResBlock(4, 6, 2, np.random.default_rng(0))
+        held: dict[str, list] = {"mul": [], "conv1": [], "conv2": []}
+
+        def recording(name, fn):
+            def call(*args):
+                out = fn(*args)
+                held[name].append(weakref.ref(out.data))
+                return out
+            return call
+
+        monkeypatch.setattr(Tensor, "__mul__", recording("mul", Tensor.__mul__))
+        for name in ("conv1", "conv2"):
+            conv = getattr(block, name)
+            monkeypatch.setattr(conv, "forward", recording(name, conv.forward))
+        x = Tensor(RNG.standard_normal((2, 4, 8)), requires_grad=True)
+        cond = Tensor(RNG.standard_normal((2, 6)), requires_grad=True)
+        out = block(x, cond)
+        assert [len(refs) for refs in held.values()] == [1, 1, 1]
+        (film_product,), (conv1_out,), (conv2_out,) = held.values()
+        assert film_product() is None and conv2_out() is None
+        assert conv1_out() is not None
+        backward((out * out).sum())
+        assert conv1_out() is None and x.grad is not None and cond.grad is not None
