@@ -1,8 +1,8 @@
 """Command-line entry points: curate, train, sample, evaluate.
 
 Each command returns where its outputs went, and `main` writes its run
-record (config hash, seed, code version, timestamps, peak RSS) there as
-``run.json``; all other outputs are byte-deterministic given the same
+record (config hash, seed, code version, timestamps, peak RSS, `environment`)
+there as ``run.json``; all other outputs are byte-deterministic given the same
 configuration and seed. The seed is `config.effective_seed`:
 `sample --seed`, else ARTIFACTGEN_SEED, else the config's seed (0 for
 `sample`, which reads no config). Exit codes: 0 success, 1 internal failure,
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import resource
 import sys
 import traceback
@@ -43,6 +44,7 @@ from .metrics import WelchSettings, WindowSet, compute_report, render_table
 from .nn import load_checkpoint, no_grad
 from .normalize import MINMAX_WINDOW, ZSCORE_RECORDING, minmax_normalize, zscore_normalize
 from .synthetic import generate_corpus, recording_from_npz
+from .training import TRAIN_DTYPE
 from .windowing import ClassMap, extract_windows
 
 # The normalization each model trains on, by checkpoint model name.
@@ -307,6 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def environment() -> dict:
+    """numpy, BLAS, OPENBLAS_NUM_THREADS (None if unset), the nets' dtypes: what bits rest on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "blas_threads": int(threads) if threads and threads.isdigit() else threads,
+            "train_dtype": np.dtype(TRAIN_DTYPE).name, "sample_dtype": np.dtype(SAMPLE_DTYPE).name}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -320,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             "elapsed_s": round((finished - started).total_seconds(), 3),
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "environment": environment(),
         })
         return 0
     except (FileNotFoundError, ValueError) as exc:

@@ -126,7 +126,8 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class ResBlock(Module):
-    """GroupNorm+SiLU -> conv -> FiLM -> GroupNorm+SiLU -> conv, residual.
+    """GroupNorm+SiLU -> conv -> FiLM -> GroupNorm+SiLU -> conv, residual; each
+    norm -> conv pair is one tape node holding its input and the norm's statistics.
 
     The FiLM projection is zero-initialized, so at init gamma = 1, beta = 0 and
     the block matches its unconditioned counterpart exactly.
@@ -142,13 +143,12 @@ class ResBlock(Module):
         self.conv2 = Conv1d(width, width, 3, 1, 1, rng)
 
     def forward(self, x: Tensor, cond: Tensor) -> Tensor:
-        h = self.conv1(self.norm1(x))
+        h = self.conv1(x, norm=self.norm1)
         gb = self.film_proj(cond)
         gamma = gb.narrow(1, 0, self.width) + 1.0
         beta = gb.narrow(1, self.width, self.width)
         h = film(h, gamma, beta)
-        h = self.conv2(self.norm2(h))
-        return x + h
+        return x + self.conv2(h, norm=self.norm2)
 
 
 class UNet1D(Module):
@@ -210,7 +210,7 @@ class UNet1D(Module):
         m = self.mid(h2, cond)
         u1 = self.dec1(self.fuse1(concat([self.up1(m), h1], axis=1)), cond)
         u0 = self.dec0(self.fuse0(concat([self.up0(u1), h0], axis=1)), cond)
-        out = self.head(self.head_norm(u0))
+        out = self.head(u0, norm=self.head_norm)
         if pad:
             out = out.narrow(2, 0, length)
         return out

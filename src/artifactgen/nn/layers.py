@@ -14,15 +14,15 @@ nets, and training float32 twins of the float64 master nets.
 
 Conv1d, ConvTranspose1d and GroupNorm each record one tape node, whose vjp
 holds only the layer's input and parameters (GroupNorm's also its per-group
-statistics); no node holds a layer's output. The convolutions' vjps rebuild
-their im2col frames with tape primitives, so a backward pass with
-``create_graph=True`` still differentiates through them.
-Each weight gradient is one flat GEMM over the whole batch, on batch-flat
-frames (C*k, B*L) of the input (Conv1d) or of the output gradient
-(ConvTranspose1d), a gather that copies whole time rows. GroupNorm includes
-the SiLU that follows it everywhere it is used, and is off the critic's path:
-its vjp recomputes the activation in numpy, is first-order only, and raises
-under ``create_graph=True``.
+statistics), and no node holds a layer's output: `Conv1d.forward(x, norm)`
+folds the GroupNorm before it into its own node, whose vjp recomputes the
+activation. The convolutions' vjps rebuild their im2col frames with tape
+primitives, so a backward pass with ``create_graph=True`` still
+differentiates through them. Each weight gradient is one flat GEMM over the
+batch, on batch-flat frames (C*k, B*L) of the input (Conv1d) or of the
+output gradient (ConvTranspose1d), a gather that copies whole time rows.
+GroupNorm includes the SiLU after it and is off the critic's path: its vjp
+computes in numpy, is first-order only, and raises under ``create_graph=True``.
 """
 
 from __future__ import annotations
@@ -135,30 +135,37 @@ class Conv1d(Module):
     def out_length(self, length: int) -> int:
         return (length + 2 * self.padding - self.kernel) // self.stride + 1
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, norm: GroupNorm | None = None) -> Tensor:
+        """The convolution of ``x`` or, given ``norm``, of norm(x): then one node
+        that holds x and the norm's statistics, and recomputes norm(x) in its vjp."""
         if x.ndim != 3 or x.shape[1] != self.c_in:
             raise ValueError(f"Conv1d({self.c_in}->{self.c_out}): bad input shape {x.shape}")
         weight, bias = self.weight, self.bias
         k, s, p = self.kernel, self.stride, self.padding
         w2_shape = (self.c_out, self.c_in * k)
         with no_grad():
-            cols = _unfold(x, k, s, p)
+            a, stats = (x, None) if norm is None else norm(x, return_stats=True)
+            cols = _unfold(a, k, s, p)
         data = weight.data.reshape(w2_shape) @ cols.data
         data += bias.data
 
         def vjp(g):
             gx = gw = None
+            rec = None if norm is None else norm._recompute(x, stats)
+            a = x if rec is None else Tensor(rec[3].reshape(x.shape))
             w2 = weight.reshape(w2_shape)
             if weight.requires_grad:
                 # one GEMM over the whole batch; run before gx, as that lowers peak RSS
                 g_t = g.swapaxes(1, 2).reshape((-1, w2_shape[0]))
-                gw = matmul(_unfold(x, k, s, p, batch_flat=True), g_t)
+                gw = matmul(_unfold(a, k, s, p, batch_flat=True), g_t)
                 gw = gw.swapaxes(0, 1).reshape(weight.shape)
-            if x.requires_grad:
+            if x.requires_grad or rec is not None:
                 gx = _fold(matmul(w2.swapaxes(-1, -2), g), x.shape[2], k, s, p)
-            return gx, gw, _unbroadcast(g, bias.shape)
+            gx_and_norm = (gx,) if rec is None else norm._backward(x, stats, rec, gx)
+            return *gx_and_norm, gw, _unbroadcast(g, bias.shape)
 
-        return Tensor._result(data, (x, weight, bias), vjp, "conv1d")
+        parents = (x,) + (() if norm is None else (norm.gamma, norm.beta)) + (weight, bias)
+        return Tensor._result(data, parents, vjp, "conv1d")
 
 
 class ConvTranspose1d(Module):
@@ -224,10 +231,10 @@ GROUP_NORM_EPS = 1e-5
 class GroupNorm(Module):
     """Group normalization followed by SiLU: ``silu(gamma * xhat + beta)``.
 
-    One tape node whose vjp holds only its input and the per-group
-    statistics; the SiLU is part of the layer. Its vjp computes in numpy and
-    is first-order only: a backward pass through it with
-    ``create_graph=True`` raises.
+    Alone, one tape node that holds its input and the per-group statistics;
+    in `Conv1d.forward(x, norm)`, part of the conv's node, which holds the
+    same. Both vjps rebuild the activation with `_recompute`, in numpy and
+    first order only: a backward pass with ``create_graph=True`` raises.
     """
 
     def __init__(self, groups: int, channels: int):
@@ -237,67 +244,71 @@ class GroupNorm(Module):
         self.gamma = _param(np.ones((1, channels, 1)))
         self.beta = _param(np.zeros((1, channels, 1)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        b, c, length = x.shape
-        if c != self.channels:
-            raise ValueError(f"GroupNorm({self.channels}): got {c} channels")
-        gamma, beta = self.gamma, self.beta
-        grouped = (b, self.groups, c // self.groups, length)
-        count = grouped[2] * length
-        gamma_g = gamma.data.reshape(grouped[1:3] + (1,))                 # (G, C/G, 1)
-        beta_g = beta.data.reshape(grouped[1:3] + (1,))
-        xg = x.data.reshape(grouped)
+    def forward(self, x: Tensor, return_stats: bool = False):
+        """The activation, and with ``return_stats`` its per-group (mean, rstd)."""
+        if x.shape[1] != self.channels:
+            raise ValueError(f"GroupNorm({self.channels}): got {x.shape[1]} channels")
+        xg = self._grouped(x.data)
         mean = xg.mean(axis=(2, 3), keepdims=True)                       # (B, G, 1, 1)
         # x - mean, centred a second time by its own mean, which removes the
         # rounding error of the mean (about eps * |mean|); folded into one
         # shift, that error would cost digits in proportion to |mean| / std
         y = xg - mean
         y -= y.mean(axis=(2, 3), keepdims=True)
-        var = np.einsum("bgct,bgct->bg", y, y)[:, :, None, None] * (1.0 / count)
-        rstd = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
-
+        var = np.einsum("bgct,bgct->bg", y, y)[:, :, None, None] * (1.0 / xg[0, 0].size)
+        stats = (mean, 1.0 / np.sqrt(var + GROUP_NORM_EPS))
         # gamma * xhat + beta as one per-(b, c) scale and a shift, then the SiLU
-        scale = gamma_g * rstd                                           # (B, G, C/G, 1)
-        y *= scale
-        y += beta_g
+        y *= self._grouped(self.gamma.data)[0] * stats[1]
+        y += self._grouped(self.beta.data)[0]
         y *= _sigmoid(y)
+        out = Tensor._result(y.reshape(x.shape), (x, self.gamma, self.beta),
+                             lambda g: self._backward(x, stats, self._recompute(x, stats), g),
+                             "group_norm")
+        return (out, stats) if return_stats else out
 
-        def vjp(g):
-            # Wu & He 2018 for the normalization, behind the SiLU's
-            # dy = g * s * (1 + y * (1 - s)). Per group, with dxhat = dy * gamma,
-            # dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)); both
-            # means, dgamma and dbeta come from the per-(b, c) sums over time
-            # of dy and dy * xc. The vjp works from the forward's twice-centred
-            # xc; uncentred, those terms cancel and lose digits in proportion
-            # to |mean| / std.
-            _first_order_only("group_norm")
-            xc = xg - mean
-            xc -= xc.mean(axis=(2, 3), keepdims=True)
-            dy = xc * scale
-            dy += beta_g
-            s = _sigmoid(dy)
-            ys = dy * s
-            dy -= ys
-            dy += 1.0
-            dy *= s
-            dy *= g.data.reshape(grouped)
-            dy_sum = dy.sum(axis=3, keepdims=True)                          # (B, G, C/G, 1)
-            dy_xhat_sum = np.einsum("bgct,bgct->bgc", dy, xc)[..., None] * rstd
-            dgamma = dy_xhat_sum.sum(axis=0).reshape(gamma.shape)
-            dbeta = dy_sum.sum(axis=0).reshape(beta.shape)
-            dx = None
-            if x.requires_grad:
-                m1 = (dy_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
-                m2 = (dy_xhat_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
-                # dx = scale * dy - rstd^2 * m2 * (x - mean) - rstd * m1
-                np.multiply(xc, -(rstd * rstd * m2), out=ys)
-                ys -= rstd * m1
-                dy *= scale
-                dy += ys
-                dx = Tensor(dy.reshape(b, c, length))
-            return dx, Tensor(dgamma), Tensor(dbeta)
+    def _grouped(self, a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[0], self.groups, -1, a.shape[2])
 
-        return Tensor._result(y.reshape(b, c, length), (x, gamma, beta), vjp, "group_norm")
+    def _recompute(self, x: Tensor, stats: tuple) -> tuple[np.ndarray, ...]:
+        """The forward's (B, G, C/G, L) arrays by its ops: xc, z, sigmoid(z), z * sigmoid(z)."""
+        _first_order_only("group_norm")
+        xc = self._grouped(x.data) - stats[0]
+        xc -= xc.mean(axis=(2, 3), keepdims=True)
+        z = xc * (self._grouped(self.gamma.data)[0] * stats[1])
+        z += self._grouped(self.beta.data)[0]
+        s = _sigmoid(z)
+        return xc, z, s, z * s
+
+    def _backward(self, x: Tensor, stats: tuple, rec: tuple, g: Tensor) -> tuple:
+        """Gradients of x, gamma and beta from g and `_recompute`'s arrays, which it reuses."""
+        # Wu & He 2018 for the normalization, behind the SiLU's
+        # dy = g * s * (1 + z * (1 - s)). Per group, with dxhat = dy * gamma,
+        # dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)); both
+        # means, dgamma and dbeta come from the per-(b, c) sums over time
+        # of dy and dy * xc. The vjp works from the forward's twice-centred
+        # xc; uncentred, those terms cancel and lose digits in proportion
+        # to |mean| / std.
+        (_, rstd), (xc, dy, s, ys) = stats, rec
+        gamma_g = self._grouped(self.gamma.data)[0]                      # (G, C/G, 1)
+        dy -= ys
+        dy += 1.0
+        dy *= s
+        dy *= self._grouped(g.data)
+        dy_sum = dy.sum(axis=3, keepdims=True)                          # (B, G, C/G, 1)
+        dy_xhat_sum = np.einsum("bgct,bgct->bgc", dy, xc)[..., None] * rstd
+        dgamma = dy_xhat_sum.sum(axis=0).reshape(self.gamma.shape)
+        dbeta = dy_sum.sum(axis=0).reshape(self.beta.shape)
+        dx = None
+        if x.requires_grad:
+            m1 = (dy_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / xc[0, 0].size)
+            m2 = (dy_xhat_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / xc[0, 0].size)
+            # dx = scale * dy - rstd^2 * m2 * (x - mean) - rstd * m1
+            np.multiply(xc, -(rstd * rstd * m2), out=ys)
+            ys -= rstd * m1
+            dy *= gamma_g * rstd
+            dy += ys
+            dx = Tensor(dy.reshape(x.shape))
+        return dx, Tensor(dgamma), Tensor(dbeta)
 
 
 def film(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -156,9 +156,6 @@ class Tensor:
     def __neg__(self):
         return Tensor._result(-self.data, (self,), lambda g: (-g,), "neg")
 
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only constant exponents are supported")

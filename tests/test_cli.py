@@ -7,14 +7,17 @@ training settings `fit` cannot use, refused samplings (bad arguments, a used
 --out, an old checkpoint version or config key), refused evaluations (another
 sampling rate among them), version-1 manifests and manifests that lack a key
 or put a subject in two splits, all of which must exit with code 2; the pinned
-bytes of curated windows; and `evaluate --out`, a directory that keeps its own
-run record."""
+bytes of curated windows; `evaluate --out`, a directory that keeps its own
+run record; and the environment each run record names, its BLAS thread count
+among it."""
 
 import builtins
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -595,3 +598,23 @@ def test_malformed_input_exits_2(tmp_path, capsys, malform):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "dataset").exists()
+
+
+def test_run_record_names_its_blas_thread_count(curated, tmp_path):
+    """Output bits depend on the BLAS thread count, so `train` run in a fresh
+    process at 1 and at 2 threads writes a `run.json` that names its own
+    count, beside numpy, the BLAS and the dtypes the nets train and sample in."""
+    config, manifest = curated["ddpm"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "artifactgen", "train", "--config", str(config),
+                               "--model", "ddpm", "--manifest", str(manifest),
+                               "--out", str(tmp_path / str(threads))],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((tmp_path / str(threads) / "ddpm" / "run.json").read_text())
+        assert record["environment"] == dict(cli.environment(), blas_threads=threads)
+        assert record["environment"]["train_dtype"] == record["environment"]["sample_dtype"] \
+            == "float32"

@@ -21,7 +21,7 @@ from artifactgen.diffusion import (
 )
 from artifactgen.nn import Adam, EmaShadow, Tensor, backward, grad, load_checkpoint, no_grad
 from artifactgen.training import TrainingDiverged
-from artifactgen.nn import GroupNorm
+from artifactgen.nn import Conv1d
 from test_layers import composite_group_norm
 from test_tensor import numeric_grad
 
@@ -339,9 +339,10 @@ class TestDenoiseLoss:
             assert np.allclose(analytic[name], num, rtol=1e-3, atol=1e-6), name
 
     def test_gradients_agree_with_composite_group_norm(self, monkeypatch):
-        """GroupNorm+SiLU's folded forward and numpy vjp move the DDPM loss and
-        gradients only in the last bits: against the elementwise composite
-        (GroupNorm, then x * sigmoid(x)) the loss agrees to 1e-12 relative and
+        """GroupNorm+SiLU's folded forward and numpy vjp, inside the node each
+        conv makes of it, move the DDPM loss and gradients only in the last
+        bits: against the elementwise composite (GroupNorm, then
+        x * sigmoid(x), then the conv) the loss agrees to 1e-12 relative and
         every parameter gradient to 1e-10."""
         net = tiny_unet()
         x0 = np.random.default_rng(3).standard_normal((2, 2, 8))
@@ -355,7 +356,9 @@ class TestDenoiseLoss:
             return loss.data, grad(loss, list(params.values()))
 
         fused_loss, fused = run()
-        monkeypatch.setattr(GroupNorm, "forward", composite_group_norm)
+        conv_forward = Conv1d.forward
+        monkeypatch.setattr(Conv1d, "forward", lambda conv, x, norm=None: conv_forward(
+            conv, x if norm is None else composite_group_norm(norm, x)))
         ref_loss, ref = run()
         assert abs(fused_loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for name, a, b in zip(params, fused, ref):

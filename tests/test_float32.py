@@ -11,8 +11,8 @@ DDIM step bit for bit, because both call the same forward.
 `train_ddpm` and `train_wgan` run their nets on float32 twins of their
 float64 master nets: the twins' gradients stay float32, agree with float64
 ones within stated tolerances, and a short run follows a float64 run's loss
-curve and weights. The GroupNorm forward and vjp keep float32 digits when
-|mean| / std is large.
+curve and weights. The GroupNorm+SiLU -> Conv1d node's forward and vjp keep
+float32 digits when |mean| / std is large.
 """
 
 import copy
@@ -60,12 +60,19 @@ GAN_LOSS_RTOL, GAN_CURVE_RTOL, GAN_WEIGHTS_RTOL = 5e-7, 2e-6, 5e-7
 # GroupNorm+SiLU in float32 against the float64 composite, relative by norm:
 # the vjp measured at most 2.1e-7 for |mean| / std of 0, 1e1 and 1e3 (2.2e-4
 # at 1e3 with the uncentred sums), the forward at most 7.9e-8 (4.8e-5 at 1e3
-# with the mean folded into the shift).
+# with the mean folded into the shift). Through the GroupNorm+SiLU -> Conv1d
+# node the gradients of x, gamma and beta measured at most 2.1e-7 and the
+# conv's output 1.1e-7.
 GROUP_NORM_RTOL = 1e-6
 
 
 def _x(rng, dt, *shape):
     return Tensor(rng.standard_normal(shape).astype(dt))
+
+
+def _norm_conv(norm, conv):
+    """GroupNorm+SiLU -> Conv1d as the one node the U-Net runs."""
+    return lambda x: conv(x, norm=norm)
 
 
 # name -> f(dtype, rng) giving (op, inputs), built from a fresh generator so
@@ -75,7 +82,9 @@ OPS = {
     "conv1d_strided": lambda dt, r: (Conv1d(4, 6, 4, 2, 1, r).astype(dt), (_x(r, dt, 2, 4, 10),)),
     "conv_transpose1d": lambda dt, r: (ConvTranspose1d(4, 6, 9, 5, 2, r).astype(dt),
                                        (_x(r, dt, 2, 4, 10),)),
-    "group_norm": lambda dt, r: (GroupNorm(2, 4).astype(dt), (_x(r, dt, 2, 4, 10),)),
+    "group_norm": lambda dt, r: (_norm_conv(GroupNorm(2, 4).astype(dt),
+                                            Conv1d(4, 6, 3, 1, 1, r).astype(dt)),
+                                 (_x(r, dt, 2, 4, 10),)),
     "linear": lambda dt, r: (Linear(5, 3, r).astype(dt), (_x(r, dt, 2, 5),)),
     "embedding": lambda dt, r: (Embedding(4, 3, r).astype(dt), (np.array([0, 3, 1]),)),
     "film": lambda dt, r: (film, (_x(r, dt, 2, 3, 5), _x(r, dt, 2, 3), _x(r, dt, 2, 3))),
@@ -299,26 +308,36 @@ def _rel_all(got: dict, want: dict) -> float:
 
 
 def _group_norm_case(ratio):
-    """Float32 input, gamma and beta with |mean| / std of about ``ratio``."""
+    """Float32 input, gamma and beta with |mean| / std of about ``ratio``, and
+    the float32 conv that reads the activation."""
     rng = np.random.default_rng(6)
     x = ((rng.standard_normal((4, 8, 50)) + ratio) * 0.7).astype(np.float32)
     gamma = rng.uniform(0.5, 1.5, (1, 8, 1)).astype(np.float32)
     beta = rng.standard_normal((1, 8, 1)).astype(np.float32)
-    return x, gamma, beta, rng
+    return x, gamma, beta, Conv1d(8, 6, 3, 1, 1, rng).astype(np.float32), rng
+
+
+def _pair(dt, gamma, beta, conv, fused):
+    """The GroupNorm+SiLU -> Conv1d pair in ``dt``: the fused node, or the
+    float64 composite GroupNorm+SiLU followed by the conv."""
+    gn = GroupNorm(2, 8).astype(dt)
+    gn.gamma.data, gn.beta.data = gamma.astype(dt), beta.astype(dt)
+    conv = copy.deepcopy(conv).astype(dt)
+    forward = (lambda x: conv(x, norm=gn)) if fused else (
+        lambda x: conv(composite_group_norm(gn, x)))
+    return gn, forward
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1e1, 1e3])
 def test_group_norm_float32_forward_at_large_mean(ratio):
-    """A float32 GroupNorm+SiLU agrees with the float64 composite on the same
-    values, though |mean| / std is large."""
-    x, gamma, beta, _ = _group_norm_case(ratio)
+    """A float32 GroupNorm+SiLU -> Conv1d node agrees with the float64
+    composite on the same values, though |mean| / std is large."""
+    x, gamma, beta, conv, _ = _group_norm_case(ratio)
     outs = []
-    for dt, forward in ((np.float32, None), (np.float64, composite_group_norm)):
-        gn = GroupNorm(2, 8).astype(dt)
-        gn.gamma.data, gn.beta.data = gamma.astype(dt), beta.astype(dt)
+    for dt, fused in ((np.float32, True), (np.float64, False)):
+        _, forward = _pair(dt, gamma, beta, conv, fused)
         with no_grad():
-            xt = Tensor(x.astype(dt))
-            outs.append((forward(gn, xt) if forward else gn(xt)).data)
+            outs.append(forward(Tensor(x.astype(dt))).data)
     got, want = outs
     assert got.dtype == np.float32
     assert _rel(got, want) <= GROUP_NORM_RTOL
@@ -326,16 +345,16 @@ def test_group_norm_float32_forward_at_large_mean(ratio):
 
 @pytest.mark.parametrize("ratio", [0.0, 1e1, 1e3])
 def test_group_norm_float32_gradients_at_large_mean(ratio):
-    """Input, gamma and beta gradients of a float32 GroupNorm+SiLU agree with
-    the float64 composite on the same values, though |mean| / std is large."""
-    x, gamma, beta, rng = _group_norm_case(ratio)
-    w = rng.standard_normal(x.shape).astype(np.float32)
+    """Input, gamma and beta gradients of a float32 GroupNorm+SiLU -> Conv1d
+    node agree with the float64 composite on the same values, though
+    |mean| / std is large."""
+    x, gamma, beta, conv, rng = _group_norm_case(ratio)
+    w = rng.standard_normal((4, 6, 50)).astype(np.float32)
     grads = []
-    for dt, forward in ((np.float32, None), (np.float64, composite_group_norm)):
-        gn = GroupNorm(2, 8).astype(dt)
-        gn.gamma.data, gn.beta.data = gamma.astype(dt), beta.astype(dt)
+    for dt, fused in ((np.float32, True), (np.float64, False)):
+        gn, forward = _pair(dt, gamma, beta, conv, fused)
         xt = Tensor(x.astype(dt), requires_grad=True)
-        out = forward(gn, xt) if forward else gn(xt)
+        out = forward(xt)
         grads.append(grad((out * Tensor(w.astype(dt))).sum(), [xt, gn.gamma, gn.beta]))
     for name, got, want in zip(("x", "gamma", "beta"), *grads):
         assert got.data.dtype == np.float32

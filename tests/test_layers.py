@@ -1,8 +1,12 @@
 """Layer semantics (identity kernels, length arithmetic, FiLM identity,
 normalization statistics), per-layer finite-difference gradient checks, and
-the one-node Conv1d, ConvTranspose1d and GroupNorm+SiLU against finite
-differences (first and second order; GroupNorm first order only, and it must
-refuse ``create_graph``) and against their composite formulation."""
+the one-node Conv1d, ConvTranspose1d, GroupNorm+SiLU and GroupNorm+SiLU ->
+Conv1d pair against finite differences (first and second order; the last two
+first order only, and they must refuse ``create_graph``) and against their
+composite formulation; the pair's node is bit-identical to the two nodes it
+replaces."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from artifactgen.nn import (
     Embedding,
     GroupNorm,
     Linear,
+    Module,
     Tensor,
     film,
     grad,
@@ -278,6 +283,21 @@ def composite_group_norm(gn, x):
     return y * y.sigmoid()
 
 
+class NormConv(Module):
+    """GroupNorm+SiLU then Conv1d, as one node the way `ResBlock` runs them."""
+
+    def __init__(self, norm, conv):
+        self.norm, self.conv = norm, conv
+
+    def forward(self, x):
+        return self.conv(x, norm=self.norm)
+
+
+def composite_norm_conv(layer, x):
+    """The pair as tape primitives: the composite GroupNorm+SiLU, then conv."""
+    return composite_conv1d(layer.conv, composite_group_norm(layer.norm, x))
+
+
 # (c_in, c_out, kernel, stride, padding, length): every shape the GAN and the U-Net use
 CONV_SHAPES = [(2, 3, 8, 2, 3, 12), (3, 2, 9, 5, 2, 20), (3, 2, 9, 1, 4, 10),
                (3, 4, 3, 1, 1, 7), (2, 3, 4, 2, 1, 9)]
@@ -287,17 +307,23 @@ CONVS = (
      for s in CONV_SHAPES]
     + [pytest.param(ConvTranspose1d, composite_conv_transpose1d, s,
                     id=f"convT-k{s[2]}s{s[3]}p{s[4]}") for s in CONV_T_SHAPES])
-FUSED = CONVS + [pytest.param(GroupNorm, composite_group_norm, (2, 4, 6), id="groupnorm")]
+FUSED = CONVS + [
+    pytest.param(NormConv, composite_norm_conv, (2, 4, 6), id="groupnorm"),
+    pytest.param(GroupNorm, composite_group_norm, (2, 4, 6), id="groupnorm-alone")]
+# the nodes whose vjp computes in numpy, first order only
+FIRST_ORDER = (NormConv, GroupNorm)
 
 
 def make_layer(cls, shape, seed=0):
     """A layer with random parameters (GroupNorm's too) and an input for it."""
     rng = np.random.default_rng(seed)
-    if cls is GroupNorm:
+    if cls in FIRST_ORDER:
         groups, channels, length = shape
         layer = GroupNorm(groups, channels)
         layer.gamma.data = rng.uniform(0.5, 1.5, layer.gamma.shape)
         layer.beta.data = rng.standard_normal(layer.beta.shape)
+        if cls is NormConv:
+            layer = NormConv(layer, Conv1d(channels, 3, 3, 1, 1, rng=rng))
         return layer, rng.standard_normal((2, channels, length)) * 2.0 + 0.5
     c_in, c_out, k, s, p, length = shape
     return cls(c_in, c_out, k, s, p, rng=rng), rng.standard_normal((2, c_in, length))
@@ -309,7 +335,8 @@ def param_names(layer):
 
 def set_params(layer, names, tensors):
     for name, t in zip(names, tensors):
-        setattr(layer, name, t)
+        *path, attr = name.split(".")
+        setattr(functools.reduce(getattr, path, layer), attr, t)
 
 
 def input_grad_penalty(layer, names, params, x_arr, forward=None):
@@ -346,7 +373,7 @@ class TestFusedNodes:
     def test_first_order_matches_fd(self, cls, composite, shape):
         layer, x = make_layer(cls, shape)
         names = param_names(layer)
-        arrays = [x] + [getattr(layer, n).data.copy() for n in names]
+        arrays = [x] + [layer.named_parameters()[n].data.copy() for n in names]
 
         def build(tensors):
             set_params(layer, names, tensors[1:])
@@ -358,13 +385,13 @@ class TestFusedNodes:
     def test_second_order_matches_fd(self, cls, composite, shape):
         """Gradient w.r.t. the parameters of a squared input-gradient norm (the
         shape of the critic's gradient penalty), and w.r.t. the input of the
-        squared parameter-gradient norms. GroupNorm is off the critic's path
-        and first-order only: it must refuse both instead."""
+        squared parameter-gradient norms. GroupNorm, alone or in its pair, is
+        off the critic's path and first-order only: it must refuse both instead."""
         layer, x = make_layer(cls, shape)
         names = param_names(layer)
-        arrays = [getattr(layer, n).data.copy() for n in names]
+        arrays = [layer.named_parameters()[n].data.copy() for n in names]
         params = [Tensor(a, requires_grad=True) for a in arrays]
-        if cls is GroupNorm:
+        if cls in FIRST_ORDER:
             with pytest.raises(RuntimeError, match="create_graph"):
                 input_grad_penalty(layer, names, params, x)
             with pytest.raises(RuntimeError, match="create_graph"):
@@ -389,23 +416,23 @@ class TestFusedNodes:
     def test_agrees_with_composite(self, cls, composite, shape):
         """The convolutions' forward is bit-identical and their gradients of
         both orders agree to 1e-10. GroupNorm folds its statistics into a
-        per-channel scale and shift, so its forward agrees to 1e-12 and its
-        first-order gradients to 1e-10."""
+        per-channel scale and shift, so its forward, alone or in its pair,
+        agrees to 1e-12 and its first-order gradients to 1e-10."""
         layer, x = make_layer(cls, shape)
         names = param_names(layer)
-        params = [Tensor(getattr(layer, n).data.copy(), requires_grad=True) for n in names]
+        params = [Tensor(layer.named_parameters()[n].data.copy(), requires_grad=True) for n in names]
         results = []
         for forward in (None, composite):
             set_params(layer, names, params)
             xt = Tensor(x, requires_grad=True)
             out = forward(layer, xt) if forward else layer(xt)
             grads = grad((out * out).sum(), [xt] + params)
-            if cls is not GroupNorm:
+            if cls not in FIRST_ORDER:
                 grads += grad(input_grad_penalty(layer, names, params, x, forward), params)
                 grads += grad(param_grad_penalty(layer, names, params, xt, forward), [xt])
             results.append((out.data, [g.data for g in grads]))
         (fused_out, fused_grads), (ref_out, ref_grads) = results
-        if cls is GroupNorm:
+        if cls in FIRST_ORDER:
             assert rel(fused_out, ref_out) <= 1e-12
         else:
             assert np.array_equal(fused_out, ref_out)
@@ -428,3 +455,29 @@ class TestFusedNodes:
         (gx, gb, gw), (ref_gx, ref_gb, ref_gw) = grads
         assert np.array_equal(gx, ref_gx) and np.array_equal(gb, ref_gb)
         assert rel(gw, ref_gw) <= 1e-13
+
+
+class TestNormConvNode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_two_nodes(self, dtype):
+        """`Conv1d.forward(x, norm)` recomputes the activation the two-node
+        path ``conv(norm(x))`` stores, with the same ops: the output, the loss
+        and the gradients of all five parents keep their bits, here with four
+        channels per group."""
+        rng = np.random.default_rng(5)
+        norm = GroupNorm(2, 8)
+        norm.gamma.data = rng.uniform(0.5, 1.5, norm.gamma.shape)
+        norm.beta.data = rng.standard_normal(norm.beta.shape)
+        conv = Conv1d(8, 5, 3, 1, 1, rng=rng)
+        norm.astype(dtype), conv.astype(dtype)
+        x = (rng.standard_normal((3, 8, 11)) * 2.0 + 0.5).astype(dtype)
+        w = Tensor(rng.standard_normal((3, 5, 11)).astype(dtype))
+        results = []
+        for forward in (lambda t: conv(t, norm=norm), lambda t: conv(norm(t))):
+            xt = Tensor(x, requires_grad=True)
+            out = forward(xt)
+            loss = (out * out * w).sum()
+            grads = grad(loss, [xt, conv.weight, conv.bias, norm.gamma, norm.beta])
+            results.append([out.data, loss.data] + [g.data for g in grads])
+        for fused, two_nodes in zip(*results):
+            assert fused.dtype == dtype and np.array_equal(fused, two_nodes)

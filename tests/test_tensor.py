@@ -364,6 +364,26 @@ class TestTapeRelease:
         assert x.grad is not None
 
 
+@pytest.fixture
+def collector_off():
+    """The collector off, and every object that survives a first collection
+    held until the test ends: an object can then neither turn into garbage
+    during the test (an earlier failure's traceback let go, say) nor lend its
+    id to a new one, so `gc.collect()` counts only the cycles the test made."""
+    gc.collect()
+    gc.disable()
+    survivors = gc.get_objects()
+    yield
+    del survivors
+    gc.enable()
+
+
+def _norm_conv(c):
+    """A GroupNorm+SiLU -> Conv1d pair as one node, on c channels."""
+    conv = Conv1d(c, 2, 3, 1, 1, rng=np.random.default_rng(0))
+    return lambda t: conv(t, norm=GroupNorm(1, c))
+
+
 # op name -> a graph through it, from a tensor of positive entries
 CYCLE_OPS = {
     "div": lambda t: t / (t + 1.0),
@@ -373,20 +393,15 @@ CYCLE_OPS = {
     "silu": silu,
     "Conv1d": lambda t: Conv1d(2, 3, 3, 1, 1, rng=np.random.default_rng(0))(t),
     "ConvTranspose1d": lambda t: ConvTranspose1d(2, 3, 4, 2, 1, rng=np.random.default_rng(0))(t),
-    "GroupNorm": lambda t: GroupNorm(1, 2)(t),
+    "GroupNorm": _norm_conv(2),
+    "GroupNorm-alone": lambda t: GroupNorm(1, 2)(t),
 }
 
 
+@pytest.mark.usefixtures("collector_off")
 class TestNoCyclicGarbage:
     """With the collector off, a dropped tape must be freed by reference
     counting alone: `gc.collect()` then finds nothing."""
-
-    @pytest.fixture(autouse=True)
-    def collector_off(self):
-        gc.collect()
-        gc.disable()
-        yield
-        gc.enable()
 
     @pytest.mark.parametrize("op", CYCLE_OPS)
     def test_dropped_graph(self, op):
@@ -404,11 +419,20 @@ class TestNoCyclicGarbage:
         del out
         assert gc.collect() == 0
 
+    def test_a_cycle_made_here_is_counted(self):
+        """The control: garbage the test itself makes still fails the check."""
+        def drop_a_cyclic_closure():
+            def closure():      # holds the cell that holds it
+                return closure
+
+        drop_a_cyclic_closure()
+        assert gc.collect() > 0
+
     @pytest.mark.parametrize("op", CYCLE_OPS)
     def test_backpropagated_graphs(self, op):
         x = Tensor(RNG.uniform(0.5, 2.0, (2, 2, 6)), requires_grad=True)
         backward(CYCLE_OPS[op](x).sum())
-        if op != "GroupNorm":       # first-order only: it refuses create_graph
+        if not op.startswith("GroupNorm"):  # first-order only: it refuses create_graph
             (gx,) = grad((CYCLE_OPS[op](x) ** 2).sum(), [x], create_graph=True)
             backward((gx * gx).sum())
             del gx
@@ -438,23 +462,18 @@ VALUE_OPS = {
     "matmul": lambda h: matmul(h, _param((4, 5))),
     "Conv1d": lambda h: Conv1d(3, 2, 3, 1, 1, rng=np.random.default_rng(0))(h),
     "ConvTranspose1d": lambda h: ConvTranspose1d(3, 2, 4, 2, 1, rng=np.random.default_rng(0))(h),
-    "GroupNorm": lambda h: GroupNorm(1, 3)(h),
+    "GroupNorm": _norm_conv(3),
+    "GroupNorm-alone": lambda h: GroupNorm(1, 3)(h),
     "leaky_relu": leaky_relu,
     "tanh": lambda h: h.tanh(),
 }
 
 
+@pytest.mark.usefixtures("collector_off")
 class TestRetention:
     """A graph node holds no array: an op's input lives on only while user
     code or a vjp that reads it holds it. The collector is off, so what is
     freed is freed by reference counting."""
-
-    @pytest.fixture(autouse=True)
-    def collector_off(self):
-        gc.collect()
-        gc.disable()
-        yield
-        gc.enable()
 
     @staticmethod
     def non_leaf():
@@ -493,8 +512,8 @@ class TestRetention:
         held: dict[str, list] = {"mul": [], "conv1": [], "conv2": []}
 
         def recording(name, fn):
-            def call(*args):
-                out = fn(*args)
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
                 held[name].append(weakref.ref(out.data))
                 return out
             return call
@@ -512,3 +531,25 @@ class TestRetention:
         assert conv1_out() is not None
         backward((out * out).sum())
         assert conv1_out() is None and x.grad is not None and cond.grad is not None
+
+    def test_norm_conv_frees_the_activation_and_keeps_its_input(self, monkeypatch):
+        """The fused GroupNorm+SiLU -> Conv1d node recomputes the activation in
+        its vjp: the activation's array dies once the forward returns, while
+        the pre-norm input lives until backward, which frees it."""
+        activations = []
+        norm_forward = GroupNorm.forward
+
+        def recording(norm, *args, **kwargs):
+            out = norm_forward(norm, *args, **kwargs)
+            activations.append(weakref.ref(out[0].data))
+            return out
+
+        monkeypatch.setattr(GroupNorm, "forward", recording)
+        x, h = self.non_leaf()
+        held = weakref.ref(h.data)
+        loss = _norm_conv(3)(h).sum()
+        del h
+        assert len(activations) == 1 and activations[0]() is None
+        assert held() is not None
+        backward(loss)
+        assert held() is None and x.grad is not None
