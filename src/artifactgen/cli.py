@@ -311,9 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def environment() -> dict:
     """numpy, BLAS, OPENBLAS_NUM_THREADS (None if unset), the nets' dtypes: what bits rest on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:    # show_config's dict form is numpy >= 1.26's; a record field must not fail a run
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas = None
     threads = os.environ.get("OPENBLAS_NUM_THREADS")
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+    return {"numpy": np.__version__, "blas": blas,
             "blas_threads": int(threads) if threads and threads.isdigit() else threads,
             "train_dtype": np.dtype(TRAIN_DTYPE).name, "sample_dtype": np.dtype(SAMPLE_DTYPE).name}
 

@@ -12,17 +12,18 @@ float64; `Module.astype` converts them to float32, and every layer then
 computes in float32 (the dtype rule of `nn.tensor`). Sampling runs float32
 nets, and training float32 twins of the float64 master nets.
 
-Conv1d, ConvTranspose1d and GroupNorm each record one tape node, whose vjp
-holds only the layer's input and parameters (GroupNorm's also its per-group
-statistics), and no node holds a layer's output: `Conv1d.forward(x, norm)`
-folds the GroupNorm before it into its own node, whose vjp recomputes the
-activation. The convolutions' vjps rebuild their im2col frames with tape
-primitives, so a backward pass with ``create_graph=True`` still
+Conv1d and ConvTranspose1d each record one tape node, whose vjp holds only
+the layer's input and parameters; no node holds a layer's output. GroupNorm
+records none: `Conv1d.forward(x, norm)` runs the norm before it, and its
+node holds the norm's input and per-group statistics too and recomputes the
+activation in its vjp. The convolutions' vjps rebuild their im2col frames
+with tape primitives, so a backward pass with ``create_graph=True`` still
 differentiates through them. Each weight gradient is one flat GEMM over the
 batch, on batch-flat frames (C*k, B*L) of the input (Conv1d) or of the
 output gradient (ConvTranspose1d), a gather that copies whole time rows.
-GroupNorm includes the SiLU after it and is off the critic's path: its vjp
-computes in numpy, is first-order only, and raises under ``create_graph=True``.
+GroupNorm includes the SiLU after it and is off the critic's path: its
+backward computes in numpy, is first-order only, and raises under
+``create_graph=True``.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class Conv1d(Module):
         k, s, p = self.kernel, self.stride, self.padding
         w2_shape = (self.c_out, self.c_in * k)
         with no_grad():
-            a, stats = (x, None) if norm is None else norm(x, return_stats=True)
+            a, stats = (x, None) if norm is None else norm(x)
             cols = _unfold(a, k, s, p)
         data = weight.data.reshape(w2_shape) @ cols.data
         data += bias.data
@@ -231,10 +232,8 @@ GROUP_NORM_EPS = 1e-5
 class GroupNorm(Module):
     """Group normalization followed by SiLU: ``silu(gamma * xhat + beta)``.
 
-    Alone, one tape node that holds its input and the per-group statistics;
-    in `Conv1d.forward(x, norm)`, part of the conv's node, which holds the
-    same. Both vjps rebuild the activation with `_recompute`, in numpy and
-    first order only: a backward pass with ``create_graph=True`` raises.
+    No tape node of its own: the node of `Conv1d.forward(x, norm)` holds its
+    input and statistics and rebuilds the activation with `_recompute`.
     """
 
     def __init__(self, groups: int, channels: int):
@@ -244,10 +243,10 @@ class GroupNorm(Module):
         self.gamma = _param(np.ones((1, channels, 1)))
         self.beta = _param(np.zeros((1, channels, 1)))
 
-    def forward(self, x: Tensor, return_stats: bool = False):
-        """The activation, and with ``return_stats`` its per-group (mean, rstd)."""
-        if x.shape[1] != self.channels:
-            raise ValueError(f"GroupNorm({self.channels}): got {x.shape[1]} channels")
+    def forward(self, x: Tensor) -> tuple[Tensor, tuple]:
+        """The activation, off the tape, and its per-group (mean, rstd)."""
+        if x.ndim != 3 or x.shape[1] != self.channels:
+            raise ValueError(f"GroupNorm({self.channels}): bad input shape {x.shape}")
         xg = self._grouped(x.data)
         mean = xg.mean(axis=(2, 3), keepdims=True)                       # (B, G, 1, 1)
         # x - mean, centred a second time by its own mean, which removes the
@@ -261,10 +260,7 @@ class GroupNorm(Module):
         y *= self._grouped(self.gamma.data)[0] * stats[1]
         y += self._grouped(self.beta.data)[0]
         y *= _sigmoid(y)
-        out = Tensor._result(y.reshape(x.shape), (x, self.gamma, self.beta),
-                             lambda g: self._backward(x, stats, self._recompute(x, stats), g),
-                             "group_norm")
-        return (out, stats) if return_stats else out
+        return Tensor(y.reshape(x.shape)), stats
 
     def _grouped(self, a: np.ndarray) -> np.ndarray:
         return a.reshape(a.shape[0], self.groups, -1, a.shape[2])

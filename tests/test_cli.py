@@ -618,3 +618,16 @@ def test_run_record_names_its_blas_thread_count(curated, tmp_path):
         assert record["environment"] == dict(cli.environment(), blas_threads=threads)
         assert record["environment"]["train_dtype"] == record["environment"]["sample_dtype"] \
             == "float32"
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_environment_without_a_blas_name_records_none(error, monkeypatch):
+    """numpy before 1.26 has no `show_config(mode="dicts")` (TypeError), and a
+    build may lack the BLAS key (KeyError): the record then names no BLAS,
+    and recording it cannot fail the run it describes."""
+    def show_config(*args, **kwargs):
+        raise error("blas")
+
+    monkeypatch.setattr(cli.np, "show_config", show_config)
+    record = cli.environment()
+    assert record["blas"] is None and record["numpy"] == cli.np.__version__

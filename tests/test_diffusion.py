@@ -242,8 +242,8 @@ class TestUNet:
         cond = Tensor(np.random.default_rng(1).standard_normal((2, 8)))
         with no_grad():
             conditioned = block(x, cond).data
-            h = block.conv1(block.norm1(x))
-            plain = (x + block.conv2(block.norm2(h))).data
+            h = block.conv1(x, norm=block.norm1)
+            plain = (x + block.conv2(h, norm=block.norm2)).data
         assert np.max(np.abs(conditioned - plain)) < 1e-12
 
     def test_conditioning_changes_output_after_film_training(self):

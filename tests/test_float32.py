@@ -141,7 +141,7 @@ def test_float32_saturation_raises_no_warning():
     with warnings.catch_warnings(), no_grad():
         warnings.simplefilter("error")
         out = silu(x).data
-        normed = norm(x).data
+        normed = norm(x)[0].data
     assert out.dtype == normed.dtype == np.float32
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(normed))
     assert out[0, 0, 0] == 0.0

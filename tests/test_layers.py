@@ -1,10 +1,10 @@
 """Layer semantics (identity kernels, length arithmetic, FiLM identity,
 normalization statistics), per-layer finite-difference gradient checks, and
-the one-node Conv1d, ConvTranspose1d, GroupNorm+SiLU and GroupNorm+SiLU ->
-Conv1d pair against finite differences (first and second order; the last two
-first order only, and they must refuse ``create_graph``) and against their
-composite formulation; the pair's node is bit-identical to the two nodes it
-replaces."""
+the one-node Conv1d, ConvTranspose1d and GroupNorm+SiLU -> Conv1d pair
+against finite differences (first and second order; the pair first order
+only, and it must refuse ``create_graph``) and against their composite
+formulation; the pair's node is bit-identical to a GroupNorm+SiLU node that
+stores its output followed by a Conv1d node."""
 
 import functools
 
@@ -25,7 +25,7 @@ from artifactgen.nn import (
     no_grad,
 )
 from artifactgen.nn.layers import GROUP_NORM_EPS
-from artifactgen.nn.tensor import _fold, _unfold
+from artifactgen.nn.tensor import _fold, _sigmoid, _unfold
 from test_tensor import check_grads, numeric_grad
 
 RNG = np.random.default_rng(0)
@@ -145,7 +145,7 @@ class TestGroupNorm:
         """The SiLU of each group normalized to zero mean and unit variance."""
         gn = GroupNorm(2, 4)
         x = RNG.standard_normal((3, 4, 50)) * 7 + 2
-        out = gn(Tensor(x)).data
+        out = gn(Tensor(x))[0].data
         grouped = x.reshape(3, 2, 2 * 50)
         xhat = (grouped - grouped.mean(axis=2, keepdims=True)) / np.sqrt(
             grouped.var(axis=2, keepdims=True) + GROUP_NORM_EPS)
@@ -153,17 +153,18 @@ class TestGroupNorm:
         assert np.allclose(out, xhat / (1.0 + np.exp(-xhat)), rtol=1e-12, atol=1e-14)
 
     def test_gradients(self):
-        gn = GroupNorm(2, 4)
+        """Through the conv node that differentiates it, the only one it has."""
+        pair = NormConv(GroupNorm(2, 4), Conv1d(4, 3, 3, 1, 1, rng=np.random.default_rng(1)))
         x = Tensor(RNG.standard_normal((2, 4, 6)))
-        check_module_grads(gn, lambda: (gn(x) ** 2).sum())
+        check_module_grads(pair, lambda: (pair(x) ** 2).sum())
         # input gradients too
         xs = Tensor(RNG.standard_normal((2, 4, 6)), requires_grad=True)
-        out = (gn(xs) ** 2).sum()
+        out = (pair(xs) ** 2).sum()
         (analytic,) = grad(out, [xs])
 
         def f(arrs):
             with no_grad():
-                return (gn(Tensor(arrs[0])) ** 2).sum().item()
+                return (pair(Tensor(arrs[0])) ** 2).sum().item()
 
         (numeric,) = numeric_grad(f, [xs.data.copy()])
         assert np.allclose(analytic.data, numeric, rtol=1e-4, atol=1e-7)
@@ -171,6 +172,10 @@ class TestGroupNorm:
     def test_divisibility_check(self):
         with pytest.raises(ValueError, match="divisible"):
             GroupNorm(3, 4)
+
+    def test_input_shape_check(self):
+        with pytest.raises(ValueError, match="bad input shape"):
+            GroupNorm(2, 4)(Tensor(np.ones((4, 6))))
 
 
 class TestFilmAndPooling:
@@ -308,22 +313,18 @@ CONVS = (
     + [pytest.param(ConvTranspose1d, composite_conv_transpose1d, s,
                     id=f"convT-k{s[2]}s{s[3]}p{s[4]}") for s in CONV_T_SHAPES])
 FUSED = CONVS + [
-    pytest.param(NormConv, composite_norm_conv, (2, 4, 6), id="groupnorm"),
-    pytest.param(GroupNorm, composite_group_norm, (2, 4, 6), id="groupnorm-alone")]
-# the nodes whose vjp computes in numpy, first order only
-FIRST_ORDER = (NormConv, GroupNorm)
+    pytest.param(NormConv, composite_norm_conv, (2, 4, 6), id="groupnorm")]
 
 
 def make_layer(cls, shape, seed=0):
     """A layer with random parameters (GroupNorm's too) and an input for it."""
     rng = np.random.default_rng(seed)
-    if cls in FIRST_ORDER:
+    if cls is NormConv:
         groups, channels, length = shape
-        layer = GroupNorm(groups, channels)
-        layer.gamma.data = rng.uniform(0.5, 1.5, layer.gamma.shape)
-        layer.beta.data = rng.standard_normal(layer.beta.shape)
-        if cls is NormConv:
-            layer = NormConv(layer, Conv1d(channels, 3, 3, 1, 1, rng=rng))
+        norm = GroupNorm(groups, channels)
+        norm.gamma.data = rng.uniform(0.5, 1.5, norm.gamma.shape)
+        norm.beta.data = rng.standard_normal(norm.beta.shape)
+        layer = NormConv(norm, Conv1d(channels, 3, 3, 1, 1, rng=rng))
         return layer, rng.standard_normal((2, channels, length)) * 2.0 + 0.5
     c_in, c_out, k, s, p, length = shape
     return cls(c_in, c_out, k, s, p, rng=rng), rng.standard_normal((2, c_in, length))
@@ -385,13 +386,13 @@ class TestFusedNodes:
     def test_second_order_matches_fd(self, cls, composite, shape):
         """Gradient w.r.t. the parameters of a squared input-gradient norm (the
         shape of the critic's gradient penalty), and w.r.t. the input of the
-        squared parameter-gradient norms. GroupNorm, alone or in its pair, is
+        squared parameter-gradient norms. The GroupNorm+SiLU -> Conv1d pair is
         off the critic's path and first-order only: it must refuse both instead."""
         layer, x = make_layer(cls, shape)
         names = param_names(layer)
         arrays = [layer.named_parameters()[n].data.copy() for n in names]
         params = [Tensor(a, requires_grad=True) for a in arrays]
-        if cls in FIRST_ORDER:
+        if cls is NormConv:
             with pytest.raises(RuntimeError, match="create_graph"):
                 input_grad_penalty(layer, names, params, x)
             with pytest.raises(RuntimeError, match="create_graph"):
@@ -416,8 +417,8 @@ class TestFusedNodes:
     def test_agrees_with_composite(self, cls, composite, shape):
         """The convolutions' forward is bit-identical and their gradients of
         both orders agree to 1e-10. GroupNorm folds its statistics into a
-        per-channel scale and shift, so its forward, alone or in its pair,
-        agrees to 1e-12 and its first-order gradients to 1e-10."""
+        per-channel scale and shift, so the pair's forward agrees to 1e-12
+        and its first-order gradients to 1e-10."""
         layer, x = make_layer(cls, shape)
         names = param_names(layer)
         params = [Tensor(layer.named_parameters()[n].data.copy(), requires_grad=True) for n in names]
@@ -427,12 +428,12 @@ class TestFusedNodes:
             xt = Tensor(x, requires_grad=True)
             out = forward(layer, xt) if forward else layer(xt)
             grads = grad((out * out).sum(), [xt] + params)
-            if cls not in FIRST_ORDER:
+            if cls is not NormConv:
                 grads += grad(input_grad_penalty(layer, names, params, x, forward), params)
                 grads += grad(param_grad_penalty(layer, names, params, xt, forward), [xt])
             results.append((out.data, [g.data for g in grads]))
         (fused_out, fused_grads), (ref_out, ref_grads) = results
-        if cls in FIRST_ORDER:
+        if cls is NormConv:
             assert rel(fused_out, ref_out) <= 1e-12
         else:
             assert np.array_equal(fused_out, ref_out)
@@ -457,13 +458,48 @@ class TestFusedNodes:
         assert rel(gw, ref_gw) <= 1e-13
 
 
+def stored_group_norm(norm, x):
+    """GroupNorm+SiLU as a node of its own that stores its output: the path
+    the pair's node replaces, with its numpy vjp spelled out op for op."""
+    out, (mean, rstd) = norm(x)
+    grouped = (x.shape[0], norm.groups, x.shape[1] // norm.groups, x.shape[2])
+    gamma_g = norm.gamma.data.reshape(grouped[1:3] + (1,))
+    beta_g = norm.beta.data.reshape(grouped[1:3] + (1,))
+    count = grouped[2] * grouped[3]
+
+    def vjp(g):
+        xc = x.data.reshape(grouped) - mean
+        xc -= xc.mean(axis=(2, 3), keepdims=True)
+        scale = gamma_g * rstd
+        dy = xc * scale
+        dy += beta_g
+        s = _sigmoid(dy)
+        ys = dy * s
+        dy -= ys
+        dy += 1.0
+        dy *= s
+        dy *= g.data.reshape(grouped)
+        dy_sum = dy.sum(axis=3, keepdims=True)
+        dy_xhat_sum = np.einsum("bgct,bgct->bgc", dy, xc)[..., None] * rstd
+        m1 = (dy_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
+        m2 = (dy_xhat_sum * gamma_g).sum(axis=2, keepdims=True) * (1.0 / count)
+        np.multiply(xc, -(rstd * rstd * m2), out=ys)
+        ys -= rstd * m1
+        dy *= scale
+        dy += ys
+        return (Tensor(dy.reshape(x.shape)), Tensor(dy_xhat_sum.sum(axis=0).reshape(norm.gamma.shape)),
+                Tensor(dy_sum.sum(axis=0).reshape(norm.beta.shape)))
+
+    return Tensor._result(out.data, (x, norm.gamma, norm.beta), vjp, "group_norm")
+
+
 class TestNormConvNode:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_two_nodes(self, dtype):
-        """`Conv1d.forward(x, norm)` recomputes the activation the two-node
-        path ``conv(norm(x))`` stores, with the same ops: the output, the loss
-        and the gradients of all five parents keep their bits, here with four
-        channels per group."""
+        """`Conv1d.forward(x, norm)` recomputes the activation that the two-node
+        path, `stored_group_norm` then the conv, stores, with the same ops: the
+        output, the loss and the gradients of all five parents keep their
+        bits, here with four channels per group."""
         rng = np.random.default_rng(5)
         norm = GroupNorm(2, 8)
         norm.gamma.data = rng.uniform(0.5, 1.5, norm.gamma.shape)
@@ -473,7 +509,7 @@ class TestNormConvNode:
         x = (rng.standard_normal((3, 8, 11)) * 2.0 + 0.5).astype(dtype)
         w = Tensor(rng.standard_normal((3, 5, 11)).astype(dtype))
         results = []
-        for forward in (lambda t: conv(t, norm=norm), lambda t: conv(norm(t))):
+        for forward in (lambda t: conv(t, norm=norm), lambda t: conv(stored_group_norm(norm, t))):
             xt = Tensor(x, requires_grad=True)
             out = forward(xt)
             loss = (out * out * w).sum()
